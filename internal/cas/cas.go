@@ -27,7 +27,6 @@
 package cas
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"subthreads/internal/snapbin"
 	"subthreads/internal/telemetry"
 )
 
@@ -562,31 +562,35 @@ func (s *Store) Dir() string {
 
 // encodeEntry frames a payload with the versioned header and checksum.
 func encodeEntry(payload []byte) []byte {
-	buf := make([]byte, headerSize, headerSize+len(payload))
-	copy(buf, entryMagic)
-	buf[4] = entryVersion
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(buf[16:], checksum(payload))
-	return append(buf, payload...)
+	w := snapbin.NewWriter(headerSize + len(payload))
+	w.Header(entryMagic, entryVersion)
+	w.Raw(reserved[:])
+	w.U64(uint64(len(payload)))
+	w.U64(checksum(payload))
+	w.Raw(payload)
+	return w.Bytes()
 }
+
+// reserved is the header's zero padding.
+var reserved [3]byte
 
 // decodeEntry validates the frame and returns the payload.
 func decodeEntry(raw []byte) ([]byte, error) {
-	if len(raw) < headerSize {
-		return nil, fmt.Errorf("truncated header (%d bytes)", len(raw))
+	r := snapbin.NewReader(raw)
+	r.Header(entryMagic, entryVersion)
+	if pad := r.Raw(len(reserved), "reserved"); r.Err() == nil && string(pad) != string(reserved[:]) {
+		return nil, errors.New("nonzero reserved header bytes")
 	}
-	if string(raw[:4]) != entryMagic {
-		return nil, errors.New("bad magic")
+	n := r.U64("payload length")
+	sum := r.U64("checksum")
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if raw[4] != entryVersion {
-		return nil, fmt.Errorf("entry version %d, want %d", raw[4], entryVersion)
+	if n != uint64(r.Remaining()) {
+		return nil, fmt.Errorf("payload length %d, have %d bytes", n, r.Remaining())
 	}
-	n := binary.LittleEndian.Uint64(raw[8:])
-	if n != uint64(len(raw)-headerSize) {
-		return nil, fmt.Errorf("payload length %d, have %d bytes", n, len(raw)-headerSize)
-	}
-	payload := raw[headerSize:]
-	if sum := checksum(payload); sum != binary.LittleEndian.Uint64(raw[16:]) {
+	payload := r.Raw(r.Remaining(), "payload")
+	if checksum(payload) != sum {
 		return nil, errors.New("checksum mismatch")
 	}
 	return payload, nil

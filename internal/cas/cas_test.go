@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,10 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 		}},
 		{"wrong-version", func(b []byte) []byte {
 			b[4] = entryVersion + 7
+			return b
+		}},
+		{"nonzero-reserved", func(b []byte) []byte {
+			b[5] = 1
 			return b
 		}},
 	}
@@ -253,4 +258,27 @@ func TestSingleFlightSharesLoad(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzDecodeEntry: decodeEntry never panics, allocates in proportion to its
+// input, and accepts only canonical frames — whatever decodes re-encodes to
+// the exact input bytes.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add(encodeEntry([]byte("the exact bytes that were stored")))
+	f.Add(encodeEntry(nil))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, err := decodeEntry(raw)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+4*len(raw)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if re := encodeEntry(payload); !bytes.Equal(re, raw) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", raw, re)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"subthreads/internal/cas"
+	"subthreads/internal/chaos"
 	"subthreads/internal/telemetry"
 )
 
@@ -19,6 +20,39 @@ func openTestStore(t *testing.T, dir string) *cas.Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// Done implies durable: once a job reports done, a process opening the
+// store afresh finds both its result body and its prefix checkpoint. Every
+// disk operation is stalled 100ms — under the breaker's 250ms slow-call
+// trip — so a publish racing the done transition would lose the race.
+func TestDoneImpliesDurable(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec("NEW ORDER")
+	_, ts := newTestServer(t, Options{
+		Workers: 1,
+		Store:   openTestStore(t, dir),
+		Chaos:   chaos.New(chaos.Config{Seed: 1, SlowEvery: 1, SlowMS: 100}),
+	})
+	resp := postJob(t, ts, spec)
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	final := waitDone(t, ts, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("job state = %s (%+v)", final.State, final.Failure)
+	}
+
+	r, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	fresh := openTestStore(t, dir)
+	if _, ok := fresh.Get(casResultNS, final.Digest); !ok {
+		t.Error("job is done but its result body is not in the store")
+	}
+	if _, ok := fresh.Get(casSnapNS, snapshotKey(r.Spec, r.Cfg)); !ok {
+		t.Error("job is done but its prefix checkpoint is not in the store")
+	}
 }
 
 // The warm-restart contract end to end: a brand-new server over the same

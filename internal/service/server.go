@@ -654,6 +654,13 @@ func (s *Server) runJob(j *Job) {
 		(*hook)(j)
 	}
 	body, failure := s.execute(j)
+	if failure == nil && s.breaker.Allow() {
+		// Publish before finishing, so a job that is done is durable: a
+		// future process — or this one after a restart — serves the digest
+		// from disk. Gated by the breaker: while the disk is sick, skipping
+		// the publish is the degradation, not a loss.
+		s.store.Put(casResultNS, j.res.Digest, body)
+	}
 	finished := time.Now()
 	j.finish(body, failure, finished)
 	j.release()
@@ -688,14 +695,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.coldMicros.Observe(uint64(finished.Sub(j.submitted).Microseconds()))
 	s.mu.Unlock()
-
-	if failure == nil && s.breaker.Allow() {
-		// Publish the rendered body so a future process — or this one
-		// after a restart — serves the digest from disk. Outside the lock:
-		// Put is disk I/O. Gated by the breaker: while the disk is sick,
-		// skipping the publish is the degradation, not a loss.
-		s.store.Put(casResultNS, j.res.Digest, body)
-	}
 
 	if failure != nil {
 		s.jlog(slog.LevelError, "job failed",

@@ -83,8 +83,7 @@ type Snapshot struct {
 // Encode renders the snapshot into its binary frame.
 func (s *Snapshot) Encode() []byte {
 	w := snapbin.NewWriter(len(s.payload) + 256)
-	w.Raw([]byte(snapMagic))
-	w.U8(snapVersion)
+	w.Header(snapMagic, snapVersion)
 	w.Uvarint(s.Cycle)
 	w.Bool(s.Forkable)
 	w.String(s.FullDigest)
@@ -101,13 +100,7 @@ func (s *Snapshot) Encode() []byte {
 // machine state against the resuming configuration.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	r := snapbin.NewReader(data)
-	magic := r.Raw(len(snapMagic), "snapshot magic")
-	if r.Err() == nil && string(magic) != snapMagic {
-		return nil, fmt.Errorf("sim: not a snapshot frame (magic %q)", magic)
-	}
-	if v := r.U8("snapshot version"); r.Err() == nil && v != snapVersion {
-		return nil, fmt.Errorf("sim: unsupported snapshot version %d", v)
-	}
+	r.Header(snapMagic, snapVersion)
 	s := &Snapshot{
 		Cycle:        r.Uvarint("snapshot cycle"),
 		Forkable:     r.Bool("snapshot forkable"),

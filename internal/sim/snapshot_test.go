@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -240,7 +242,7 @@ func forkProgram() *Program {
 }
 
 // capturePrefix captures the prefix-boundary snapshot under cfg.
-func capturePrefix(t *testing.T, cfg Config, prog *Program) *Snapshot {
+func capturePrefix(t testing.TB, cfg Config, prog *Program) *Snapshot {
 	t.Helper()
 	var snap *Snapshot
 	cfg.SnapshotAtPrefix = true
@@ -387,6 +389,32 @@ func TestSnapshotCorruptionIsAnErrorNeverAPanic(t *testing.T) {
 	if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("corrupt version: err = %v", err)
 	}
+}
+
+// FuzzDecodeSnapshot: DecodeSnapshot never panics, allocates in proportion
+// to its input, and accepts only canonical frames — whatever decodes
+// re-encodes to the exact input bytes. (Payload corruption is ResumeE's to
+// catch; TestSnapshotCorruptionIsAnErrorNeverAPanic covers that side.)
+func FuzzDecodeSnapshot(f *testing.F) {
+	// The captured frame is 260 KB, which stalls the fuzzer's default 60 s
+	// minimization of each new input: fuzz with -fuzzminimizetime=100x.
+	f.Add(capturePrefix(f, testConfig(), forkProgram()).Encode())
+	f.Add((&Snapshot{FullDigest: "full", PrefixDigest: "prefix"}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := DecodeSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+4*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if re := s.Encode(); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs (%d bytes in, %d out)", len(data), len(re))
+		}
+	})
 }
 
 func TestSnapshotNotCapturedPastRunEnd(t *testing.T) {

@@ -1,11 +1,16 @@
-// Package snapbin is the leaf binary codec the whole-machine snapshot layer
-// is built from: a Writer that appends fixed-width and varint fields to one
-// growing buffer, and a Reader that consumes them with a sticky error, so
-// state codecs scattered across cache/cpu/predict/profile/tls/sim can each
-// serialize their own unexported state without import cycles and without
-// per-field error plumbing. The framing idiom follows workload's Built codec
-// (magic + version handled by the caller, uvarints for counts, length caps on
-// anything attacker- or corruption-sized).
+// Package snapbin is the repository's one binary codec: a Writer that
+// appends fixed-width and varint fields to one growing buffer, and a Reader
+// that consumes them with a sticky error, so every persisted frame — machine
+// snapshots and the per-package state they are built from, recorded traces,
+// workload.Built programs and CAS entry headers — serializes its own
+// unexported state without import cycles and without per-field error
+// plumbing.
+//
+// Frames open with Header (magic string + version byte), frame counts as
+// uvarints and cap anything attacker- or corruption-sized. The Reader is
+// strict: it accepts only the bytes a Writer produces (minimal varints,
+// bools as 0 or 1), so every frame that decodes re-encodes to itself, and
+// no element count can exceed the bytes left to hold its elements.
 package snapbin
 
 import (
@@ -33,6 +38,12 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Raw appends bytes verbatim (magic strings, pre-encoded sub-frames).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
+// Header appends a frame header: the magic string, then one version byte.
+func (w *Writer) Header(magic string, version uint8) {
+	w.buf = append(w.buf, magic...)
+	w.buf = append(w.buf, version)
+}
+
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
@@ -50,14 +61,21 @@ func (w *Writer) U64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
-// Uvarint appends an unsigned varint.
+// Uvarint appends an unsigned varint (the encoding/binary format). It
+// appends byte by byte rather than through binary.AppendUvarint: the
+// self-append form stores only the slice length, where assigning a returned
+// slice stores its pointer too and pays a GC write barrier per field.
 func (w *Writer) Uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
+	for v >= 0x80 {
+		w.buf = append(w.buf, byte(v)|0x80)
+		v >>= 7
+	}
+	w.buf = append(w.buf, byte(v))
 }
 
 // Varint appends a zig-zag signed varint.
 func (w *Writer) Varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
+	w.Uvarint(uint64(v<<1) ^ uint64(v>>63))
 }
 
 // Int appends a signed int as a varint (slot indices, -1 sentinels).
@@ -77,9 +95,11 @@ func (w *Writer) String(s string) {
 
 // Reader consumes a frame produced by Writer. The first decode failure
 // latches in err; every later read returns a zero value, so codecs read
-// straight through and check Err once.
+// straight through and check Err once. Reads advance an offset rather than
+// reslicing data, so the hot path stores no pointers.
 type Reader struct {
 	data []byte
+	off  int
 	err  error
 }
 
@@ -102,20 +122,33 @@ func (r *Reader) Failf(format string, args ...any) {
 }
 
 // Remaining reports how many bytes are left.
-func (r *Reader) Remaining() int { return len(r.data) }
+func (r *Reader) Remaining() int { return len(r.data) - r.off }
 
 // Raw consumes n bytes verbatim; nil on error or truncation.
 func (r *Reader) Raw(n int, field string) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || len(r.data) < n {
-		r.Failf("truncated %s (want %d bytes, have %d)", field, n, len(r.data))
+	if n < 0 || r.Remaining() < n {
+		r.Failf("truncated %s (want %d bytes, have %d)", field, n, r.Remaining())
 		return nil
 	}
-	b := r.data[:n]
-	r.data = r.data[n:]
+	b := r.data[r.off : r.off+n]
+	r.off += n
 	return b
+}
+
+// Header consumes a header written by Writer.Header, latching an error
+// unless it carries exactly magic and version.
+func (r *Reader) Header(magic string, version uint8) {
+	got := r.Raw(len(magic), "magic")
+	if r.err == nil && string(got) != magic {
+		r.Failf("bad magic %q, want %q", got, magic)
+		return
+	}
+	if v := r.U8("version"); r.err == nil && v != version {
+		r.Failf("unsupported version %d, want %d", v, version)
+	}
 }
 
 // U8 consumes one byte.
@@ -123,12 +156,12 @@ func (r *Reader) U8(field string) uint8 {
 	if r.err != nil {
 		return 0
 	}
-	if len(r.data) == 0 {
+	if r.off >= len(r.data) {
 		r.Failf("truncated %s", field)
 		return 0
 	}
-	v := r.data[0]
-	r.data = r.data[1:]
+	v := r.data[r.off]
+	r.off++
 	return v
 }
 
@@ -147,48 +180,55 @@ func (r *Reader) U64(field string) uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if len(r.data) < 8 {
+	if r.Remaining() < 8 {
 		r.Failf("truncated %s", field)
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(r.data)
-	r.data = r.data[8:]
+	v := binary.LittleEndian.Uint64(r.data[r.off:])
+	r.off += 8
 	return v
 }
 
-// Uvarint consumes an unsigned varint.
+// Uvarint consumes an unsigned varint. Only the minimal encoding Writer
+// produces is accepted: a padded one (a zero final byte after the first)
+// would decode to the same value but re-encode to different bytes.
 func (r *Reader) Uvarint(field string) uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
 		r.Failf("bad varint for %s", field)
 		return 0
 	}
-	r.data = r.data[n:]
+	r.off += n
 	return v
 }
 
-// Varint consumes a zig-zag signed varint.
+// Uvarint32 consumes an unsigned varint that must fit in 32 bits.
+func (r *Reader) Uvarint32(field string) uint32 {
+	v := r.Uvarint(field)
+	if v > 1<<32-1 {
+		r.Failf("%s %d out of 32-bit range", field, v)
+		return 0
+	}
+	return uint32(v)
+}
+
+// Varint consumes a zig-zag signed varint (minimal encoding only, as for
+// Uvarint).
 func (r *Reader) Varint(field string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.Failf("bad varint for %s", field)
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
+	u := r.Uvarint(field)
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int consumes a signed int encoded by Writer.Int.
 func (r *Reader) Int(field string) int { return int(r.Varint(field)) }
 
-// Count consumes an element count and rejects values above max, keeping a
-// corrupted-but-well-framed length from forcing a giant allocation.
+// Count consumes an element count and rejects values above max or above
+// the bytes left in the frame (every encoded element takes at least one
+// byte), so a corrupted-but-well-framed length can never force an
+// allocation larger than the input.
 func (r *Reader) Count(field string, max int) int {
 	n := r.Uvarint(field)
 	if r.err != nil {
@@ -196,6 +236,10 @@ func (r *Reader) Count(field string, max int) int {
 	}
 	if n > uint64(max) {
 		r.Failf("implausible %s count %d (cap %d)", field, n, max)
+		return 0
+	}
+	if n > uint64(r.Remaining()) {
+		r.Failf("truncated %s: count %d, %d bytes left", field, n, r.Remaining())
 		return 0
 	}
 	return int(n)
@@ -218,8 +262,8 @@ func (r *Reader) Done() error {
 	if r.err != nil {
 		return r.err
 	}
-	if len(r.data) != 0 {
-		return fmt.Errorf("%d trailing bytes after frame", len(r.data))
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%d trailing bytes after frame", r.Remaining())
 	}
 	return nil
 }

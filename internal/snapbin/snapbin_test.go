@@ -103,3 +103,88 @@ func TestTrailing(t *testing.T) {
 		t.Fatal("want trailing-bytes error")
 	}
 }
+
+func TestHeader(t *testing.T) {
+	w := NewWriter(8)
+	w.Header("MAGC", 3)
+	if got := string(w.Bytes()); got != "MAGC\x03" {
+		t.Fatalf("header bytes = %q", got)
+	}
+	cases := map[string]struct {
+		data []byte
+		ok   bool
+	}{
+		"valid":         {[]byte("MAGC\x03"), true},
+		"bad magic":     {[]byte("MAGX\x03"), false},
+		"wrong version": {[]byte("MAGC\x04"), false},
+		"truncated":     {[]byte("MAG"), false},
+		"no version":    {[]byte("MAGC"), false},
+	}
+	for name, c := range cases {
+		r := NewReader(c.data)
+		r.Header("MAGC", 3)
+		if (r.Err() == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", name, r.Err(), c.ok)
+		}
+	}
+}
+
+// A count can never exceed the bytes left: each element takes at least one.
+func TestCountBoundedByRemaining(t *testing.T) {
+	w := NewWriter(8)
+	w.Uvarint(3)
+	w.Raw([]byte{1, 2})
+	r := NewReader(w.Bytes())
+	if n := r.Count("items", 1<<20); n != 0 || r.Err() == nil {
+		t.Fatalf("Count = %d, err = %v; want an error for 3 items in 2 bytes", n, r.Err())
+	}
+	r = NewReader([]byte{2, 1, 2})
+	if n := r.Count("items", 1<<20); n != 2 || r.Err() != nil {
+		t.Fatalf("Count = %d, err = %v; want 2", n, r.Err())
+	}
+}
+
+// Only minimal varints decode, so every accepted frame re-encodes to itself.
+func TestVarintsMustBeMinimal(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"uvarint padded": {0x81, 0x00},
+		"zero padded":    {0x80, 0x00},
+	} {
+		r := NewReader(data)
+		_ = r.Uvarint("u")
+		if r.Err() == nil {
+			t.Errorf("%s: Uvarint accepted % x", name, data)
+		}
+		r = NewReader(data)
+		_ = r.Varint("v")
+		if r.Err() == nil {
+			t.Errorf("%s: Varint accepted % x", name, data)
+		}
+	}
+	w := NewWriter(32)
+	w.Varint(-1 << 63)
+	w.Varint(1<<63 - 1)
+	w.Uvarint(1<<64 - 1)
+	w.Uvarint(0)
+	r := NewReader(w.Bytes())
+	if r.Varint("min") != -1<<63 || r.Varint("max") != 1<<63-1 || r.Uvarint("umax") != 1<<64-1 || r.Uvarint("zero") != 0 {
+		t.Fatal("extreme varints did not round-trip")
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUvarint32(t *testing.T) {
+	w := NewWriter(16)
+	w.Uvarint(1<<32 - 1)
+	w.Uvarint(1 << 32)
+	r := NewReader(w.Bytes())
+	if got := r.Uvarint32("max"); got != 1<<32-1 || r.Err() != nil {
+		t.Fatalf("Uvarint32(max) = %d, err = %v", got, r.Err())
+	}
+	_ = r.Uvarint32("over")
+	if r.Err() == nil {
+		t.Fatal("Uvarint32 accepted 2^32")
+	}
+}

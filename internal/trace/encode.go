@@ -1,15 +1,13 @@
 package trace
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"subthreads/internal/isa"
 	"subthreads/internal/mem"
+	"subthreads/internal/snapbin"
 )
 
 // Compact binary encoding of a Trace, used by the persistent build-artifact
-// cache (internal/cas via internal/workload). The encoding is hand-rolled
+// cache (internal/cas via internal/workload). It is written with snapbin
 // rather than gob/reflection so it is small, fast, versioned at the
 // container level (workload's Built frame), and byte-stable: one event costs
 // 1 byte of kind plus only the varint fields that kind actually carries.
@@ -19,113 +17,62 @@ import (
 // derived instruction and per-kind counters are recomputed from the events,
 // keeping a decoded trace self-consistent by construction.
 
-// maxEvents bounds a single trace's decoded event count (a sanity cap so a
-// corrupted-but-well-framed length cannot force a giant allocation; real
-// traces are a few hundred thousand events).
-const maxEvents = 1 << 28
-
-// AppendBinary appends the compact encoding of t to buf and returns the
-// extended slice.
-func (t *Trace) AppendBinary(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(t.events)))
+// Encode appends the compact encoding of t to w.
+func (t *Trace) Encode(w *snapbin.Writer) {
+	w.Uvarint(uint64(len(t.events)))
 	for i := range t.events {
 		e := &t.events[i]
-		buf = append(buf, byte(e.Kind))
+		w.U8(uint8(e.Kind))
 		switch e.Kind {
 		case isa.ALU:
-			buf = binary.AppendUvarint(buf, uint64(e.N))
+			w.Uvarint(uint64(e.N))
 		case isa.Branch:
-			buf = binary.AppendUvarint(buf, uint64(e.PC))
-			taken := byte(0)
-			if e.Taken {
-				taken = 1
-			}
-			buf = append(buf, taken)
+			w.Uvarint(uint64(e.PC))
+			w.Bool(e.Taken)
 		case isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease:
-			buf = binary.AppendUvarint(buf, uint64(e.PC))
-			buf = binary.AppendUvarint(buf, uint64(e.Addr))
+			w.Uvarint(uint64(e.PC))
+			w.Uvarint(uint64(e.Addr))
 		default:
 			// Long-latency ops (IntMul, IntDiv, FP*) carry only their kind.
 		}
 	}
-	return buf
 }
 
-// DecodeBinary decodes one trace from the front of data, returning the
-// trace and the unconsumed remainder. Every field is bounds-checked: a
-// truncated or inconsistent stream is an error, never a panic.
-func DecodeBinary(data []byte) (*Trace, []byte, error) {
-	n, data, err := uvarint(data, "event count")
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxEvents {
-		return nil, nil, fmt.Errorf("trace: implausible event count %d", n)
-	}
+// Decode reads one trace written by Encode from r. A truncated or
+// inconsistent stream latches an error in r and returns nil, never panics.
+func Decode(r *snapbin.Reader) *Trace {
+	// Real traces are a few hundred thousand events.
+	n := r.Count("trace events", 1<<28)
 	b := Builder{}
 	b.t.events = make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if len(data) == 0 {
-			return nil, nil, fmt.Errorf("trace: truncated at event %d/%d", i, n)
-		}
-		kind := isa.Kind(data[0])
-		data = data[1:]
-		if int(kind) >= isa.NumKinds {
-			return nil, nil, fmt.Errorf("trace: unknown event kind %d", kind)
-		}
-		e := Event{Kind: kind, N: 1}
-		switch kind {
+	for i := 0; i < n; i++ {
+		e := Event{Kind: isa.Kind(r.U8("event kind")), N: 1}
+		switch e.Kind {
 		case isa.ALU:
-			var run uint64
-			run, data, err = uvarint(data, "alu run")
-			if err != nil {
-				return nil, nil, err
+			e.N = r.Uvarint32("alu run")
+			if r.Err() == nil && e.N == 0 {
+				r.Failf("trace: zero alu run length")
 			}
-			if run == 0 || run > 1<<32-1 {
-				return nil, nil, fmt.Errorf("trace: bad alu run length %d", run)
-			}
-			e.N = uint32(run)
 		case isa.Branch:
-			var pc uint64
-			pc, data, err = uvarint(data, "branch pc")
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(data) == 0 {
-				return nil, nil, fmt.Errorf("trace: truncated branch outcome")
-			}
-			if pc > 1<<32-1 {
-				return nil, nil, fmt.Errorf("trace: branch pc %d out of range", pc)
-			}
-			e.PC, e.Taken = isa.PC(pc), data[0] != 0
-			data = data[1:]
+			e.PC = isa.PC(r.Uvarint32("branch pc"))
+			e.Taken = r.Bool("branch taken")
 		case isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease:
-			var pc, addr uint64
-			pc, data, err = uvarint(data, "mem pc")
-			if err != nil {
-				return nil, nil, err
+			e.PC = isa.PC(r.Uvarint32("mem pc"))
+			e.Addr = mem.Addr(r.Uvarint32("mem addr"))
+		default:
+			if r.Err() == nil && int(e.Kind) >= isa.NumKinds {
+				r.Failf("trace: unknown event kind %d", e.Kind)
 			}
-			addr, data, err = uvarint(data, "mem addr")
-			if err != nil {
-				return nil, nil, err
-			}
-			if pc > 1<<32-1 || addr > 1<<32-1 {
-				return nil, nil, fmt.Errorf("trace: pc %d / addr %d out of range", pc, addr)
-			}
-			e.PC, e.Addr = isa.PC(pc), mem.Addr(addr)
+		}
+		if r.Err() != nil {
+			return nil
 		}
 		// push (not the merging ALU method) preserves the recorded event
 		// sequence exactly while recomputing instrs and per-kind counts.
 		b.push(e)
 	}
-	return b.Finish(), data, nil
-}
-
-// uvarint consumes one varint from data, naming the field in errors.
-func uvarint(data []byte, field string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("trace: bad varint for %s", field)
+	if r.Err() != nil {
+		return nil
 	}
-	return v, data[n:], nil
+	return b.Finish()
 }

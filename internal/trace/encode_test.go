@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"subthreads/internal/isa"
+	"subthreads/internal/snapbin"
 )
 
 // sampleTrace exercises every event kind, including back-to-back ALU runs
@@ -25,15 +30,30 @@ func sampleTrace() *Trace {
 	return b.Finish()
 }
 
+// encode renders traces back to back in one frame.
+func encode(ts ...*Trace) []byte {
+	w := snapbin.NewWriter(64)
+	for _, t := range ts {
+		t.Encode(w)
+	}
+	return w.Bytes()
+}
+
+// decodeOne decodes a frame holding exactly one trace.
+func decodeOne(data []byte) (*Trace, error) {
+	r := snapbin.NewReader(data)
+	t := Decode(r)
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	want := sampleTrace()
-	enc := want.AppendBinary(nil)
-	got, rest, err := DecodeBinary(enc)
+	got, err := decodeOne(encode(want))
 	if err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("DecodeBinary left %d bytes unconsumed", len(rest))
+		t.Fatalf("Decode: %v", err)
 	}
 	if !reflect.DeepEqual(got.Events(), want.Events()) {
 		t.Fatalf("events round-trip mismatch:\n got %v\nwant %v", got.Events(), want.Events())
@@ -55,28 +75,21 @@ func TestBinaryConcatenation(t *testing.T) {
 	b.ALU(42)
 	second := b.Finish()
 
-	buf := a.AppendBinary(nil)
-	buf = second.AppendBinary(buf)
-
-	gotA, rest, err := DecodeBinary(buf)
-	if err != nil {
-		t.Fatalf("decode first: %v", err)
-	}
-	gotB, rest, err := DecodeBinary(rest)
-	if err != nil {
-		t.Fatalf("decode second: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes", len(rest))
+	r := snapbin.NewReader(encode(a, second))
+	gotA := Decode(r)
+	gotB := Decode(r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(gotA.Events(), a.Events()) || !reflect.DeepEqual(gotB.Events(), second.Events()) {
 		t.Fatal("concatenated traces decoded out of order")
 	}
 }
 
-// Garbage and truncation must produce errors, never panics.
+// Garbage, truncation and non-canonical bytes must produce errors, never
+// panics.
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid := sampleTrace().AppendBinary(nil)
+	valid := encode(sampleTrace())
 	cases := map[string][]byte{
 		"empty":          {},
 		"truncated":      valid[:len(valid)/2],
@@ -85,10 +98,64 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"truncated alu":  {1, byte(isa.ALU)},
 		"huge count":     {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		"missing events": {5},
+		"taken 2":        {1, byte(isa.Branch), 9, 2},
+		"padded varint":  {1, byte(isa.ALU), 0x83, 0x00},
+		"pc over 32 bit": {1, byte(isa.Load), 0x80, 0x80, 0x80, 0x80, 0x10, 0},
+		"trailing":       append(append([]byte(nil), valid...), 0),
 	}
 	for name, data := range cases {
-		if _, _, err := DecodeBinary(data); err == nil {
-			t.Errorf("%s: DecodeBinary accepted malformed input", name)
+		if _, err := decodeOne(data); err == nil {
+			t.Errorf("%s: Decode accepted malformed input", name)
 		}
 	}
+}
+
+// A 4-byte frame claiming 2^28-1 events must fail on its count, not
+// allocate room for the events first.
+func TestDecodeHostileCountAllocatesLittle(t *testing.T) {
+	frame := []byte{0xff, 0xff, 0xff, 0x7f}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeOne(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decode accepted a count of 2^28-1 events in a 4-byte frame")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting the frame allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+// The encoding of a fixed trace is pinned: a codec change that moves these
+// bytes would silently orphan every Built already on disk.
+func TestEncodingPinned(t *testing.T) {
+	const want = "124e027d0559a1cd2425efe5f4a03e11fd73e259909d7c3183980218991b7b57"
+	sum := sha256.Sum256(encode(sampleTrace()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("sha256(encode(sampleTrace())) = %s, want %s", got, want)
+	}
+}
+
+// FuzzDecode: Decode never panics, allocates in proportion to its input,
+// and accepts only canonical frames — whatever decodes re-encodes to the
+// exact input bytes.
+func FuzzDecode(f *testing.F) {
+	f.Add(encode(sampleTrace()))
+	f.Add(encode(NewBuilder().Finish()))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := decodeOne(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if re := encode(tr); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", data, re)
+		}
+	})
 }

@@ -2,12 +2,18 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"subthreads/internal/isa"
 	"subthreads/internal/report"
 	"subthreads/internal/sim"
+	"subthreads/internal/snapbin"
 	"subthreads/internal/tpcc"
+	"subthreads/internal/trace"
 )
 
 func smallSpec() Spec {
@@ -113,23 +119,126 @@ func TestEncodeBuiltDeterministic(t *testing.T) {
 	}
 }
 
+// miniBuilt is a hand-made Built small enough to fuzz from: one
+// speculative unit and a final empty barrier unit, two output rows and two
+// PC names.
+func miniBuilt() *Built {
+	tb := trace.NewBuilder()
+	tb.ALU(3)
+	tb.Load(isa.PC(1), 0x1000)
+	tb.Branch(isa.PC(2), true)
+	tb.Store(isa.PC(1), 0x1008)
+	pcs := isa.NewPCRegistry()
+	pcs.Site("load")
+	pcs.Site("branch")
+	return &Built{
+		Program: &sim.Program{Units: []sim.Unit{
+			{Trace: tb.Finish()},
+			{Trace: trace.NewBuilder().Finish(), Barrier: true},
+		}},
+		Stats:   Stats{Txns: 1, Epochs: 1, TotalInstrs: 6, Coverage: 0.5},
+		PCs:     pcs,
+		Digest:  0xfeedface,
+		Outputs: [][]int64{{1, -2}, {}},
+	}
+}
+
 func TestDecodeBuiltRejectsMalformed(t *testing.T) {
 	valid := EncodeBuilt(Build(smallSpec(), true))
 	wrongVersion := append([]byte(nil), valid...)
 	wrongVersion[len(builtMagic)] = builtVersion + 1
 	trailing := append(append([]byte(nil), valid...), 0xaa)
+	// miniBuilt's frame ends in its last unit: barrier byte 1, then an
+	// event count of 0.
+	barrier2 := EncodeBuilt(miniBuilt())
+	if _, err := DecodeBuilt(barrier2); err != nil {
+		t.Fatalf("DecodeBuilt(miniBuilt): %v", err)
+	}
+	barrier2[len(barrier2)-2] = 2
 	cases := map[string][]byte{
 		"empty":         {},
 		"bad magic":     []byte("NOPE\x01rest"),
 		"wrong version": wrongVersion,
 		"truncated":     valid[:len(valid)/3],
 		"trailing":      trailing,
+		"barrier 2":     barrier2,
 	}
 	for name, data := range cases {
 		if _, err := DecodeBuilt(data); err == nil {
 			t.Errorf("%s: DecodeBuilt accepted malformed input", name)
 		}
 	}
+}
+
+// A 45-byte TLSB frame claiming 2^24 output rows must fail on the count,
+// not allocate room for the rows first.
+func TestDecodeBuiltHostileCountAllocatesLittle(t *testing.T) {
+	w := snapbin.NewWriter(64)
+	w.Header(builtMagic, builtVersion)
+	for i := 0; i < 4; i++ {
+		w.Uvarint(0) // txns, epochs, total and iter instrs
+	}
+	for i := 0; i < 4; i++ {
+		w.U64(0) // three stats floats and the digest
+	}
+	w.Uvarint(1 << 24)
+	frame := w.Bytes()
+	if len(frame) != 45 {
+		t.Fatalf("hostile frame is %d bytes, want 45", len(frame))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBuilt(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("DecodeBuilt accepted 2^24 output rows in a 45-byte frame")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("rejecting the frame allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+// The Built encoding of one small fixed spec is pinned: a codec change
+// that moves these bytes would orphan every Built already on disk without
+// a builtVersion bump.
+func TestEncodeBuiltPinned(t *testing.T) {
+	const want = "82052bbf36daf5d7571d5759c5763ed5dd219909a4cc64d694f98b2b08cdc4b1"
+	spec := DefaultSpec(tpcc.NewOrder)
+	spec.Txns = 1
+	spec.Warmup = 1
+	sum := sha256.Sum256(EncodeBuilt(Build(spec, false)))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("sha256(EncodeBuilt(NEW ORDER, txns 1, warmup 1)) = %s, want %s", got, want)
+	}
+}
+
+// FuzzDecodeBuilt: DecodeBuilt never panics, allocates in proportion to
+// its input, and accepts only canonical frames — whatever decodes
+// re-encodes to the exact input bytes.
+func FuzzDecodeBuilt(f *testing.F) {
+	// Real programs encode to 40 KB and up, so the smallest benchmark's is
+	// the real-program seed. Inputs that size stall the fuzzer's default
+	// 60 s minimization of each new input: fuzz with -fuzzminimizetime=100x.
+	spec := DefaultSpec(tpcc.OrderStatus)
+	spec.Txns = 1
+	spec.Warmup = 1
+	f.Add(EncodeBuilt(miniBuilt()))
+	f.Add(EncodeBuilt(Build(spec, true)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := DecodeBuilt(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if re := EncodeBuilt(b); !bytes.Equal(re, data) {
+			t.Fatalf("re-encoding differs (%d bytes in, %d out)", len(data), len(re))
+		}
+	})
 }
 
 func TestCacheKeyStableAndDistinct(t *testing.T) {
