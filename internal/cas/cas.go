@@ -76,21 +76,22 @@ type Options struct {
 }
 
 // Stats is a point-in-time snapshot of the store's counters, exported to
-// the daemon's /metrics (JSON and tlsd_cas_* Prometheus families).
+// the daemon's /metrics; its tags declare both the JSON keys and the
+// tlsd_cas_* Prometheus families (telemetry.PromWriter.Struct).
 type Stats struct {
 	// Hits / Misses classify Get calls; a quarantined entry counts as
 	// both Corrupt and a miss.
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Puts      uint64 `json:"puts"`
-	Evictions uint64 `json:"evictions"`
-	Corrupt   uint64 `json:"corrupt"`
+	Hits      uint64 `json:"hits" prom:"hit_total" help:"Persistent-store reads that found a valid entry."`
+	Misses    uint64 `json:"misses" prom:"miss_total" help:"Persistent-store reads that found nothing servable."`
+	Puts      uint64 `json:"puts" prom:"put_total" help:"Entries published to the persistent store."`
+	Evictions uint64 `json:"evictions" prom:"eviction_total" help:"Entries evicted to stay under the store's size cap."`
+	Corrupt   uint64 `json:"corrupt" prom:"corrupt_total" help:"Entries quarantined as corrupt or undecodable."`
 	// Entries / Bytes describe the resident set.
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
+	Entries int   `json:"entries" prom:"entries" help:"Entries resident in the persistent store."`
+	Bytes   int64 `json:"bytes" prom:"size_bytes" help:"Bytes resident in the persistent store."`
 	// LoadMicros / StoreMicros time successful disk reads and writes.
-	LoadMicros  telemetry.HistogramSnapshot `json:"load_micros"`
-	StoreMicros telemetry.HistogramSnapshot `json:"store_micros"`
+	LoadMicros  telemetry.HistogramSnapshot `json:"load_micros" prom:"load_latency_microseconds" help:"Latency of persistent-store disk reads (hits only)."`
+	StoreMicros telemetry.HistogramSnapshot `json:"store_micros" prom:"store_latency_microseconds" help:"Latency of persistent-store disk writes."`
 }
 
 // DiskFault is one injected perturbation of a disk operation. The chaos
@@ -193,8 +194,8 @@ type Store struct {
 	clock   uint64
 	flights map[string]*flight
 
-	hits, misses, puts, evictions, corrupt uint64
-	loadMicros, storeMicros                telemetry.Histogram
+	stats                   Stats // the counters; Stats fills in the rest
+	loadMicros, storeMicros telemetry.Histogram
 
 	faults   FaultInjector
 	observer func(op string, d time.Duration, failed bool)
@@ -354,7 +355,7 @@ func (s *Store) loadEntry(rel string) ([]byte, bool) {
 	}
 	if err != nil {
 		s.mu.Lock()
-		s.misses++
+		s.stats.Misses++
 		if e := s.entries[rel]; e != nil && errors.Is(err, fs.ErrNotExist) {
 			// The file vanished under us (another process evicted it);
 			// drop the stale accounting.
@@ -375,7 +376,7 @@ func (s *Store) loadEntry(rel string) ([]byte, bool) {
 	}
 
 	s.mu.Lock()
-	s.hits++
+	s.stats.Hits++
 	s.loadMicros.Observe(uint64(time.Since(start).Microseconds()))
 	s.clock++
 	if e := s.entries[rel]; e != nil {
@@ -425,7 +426,7 @@ func (s *Store) Put(namespace, key string, payload []byte) {
 	size := int64(headerSize + len(payload))
 
 	s.mu.Lock()
-	s.puts++
+	s.stats.Puts++
 	s.storeMicros.Observe(uint64(time.Since(start).Microseconds()))
 	s.clock++
 	if e := s.entries[rel]; e != nil {
@@ -466,7 +467,7 @@ func (s *Store) evictLocked(keep string) []string {
 		}
 		s.total -= s.entries[victim].size
 		delete(s.entries, victim)
-		s.evictions++
+		s.stats.Evictions++
 		os.Remove(filepath.Join(s.dir, victim))
 		evicted = append(evicted, victim)
 	}
@@ -501,8 +502,8 @@ func (s *Store) quarantine(rel string, size int64, reason error) {
 		os.Remove(path)
 	}
 	s.mu.Lock()
-	s.corrupt++
-	s.misses++
+	s.stats.Corrupt++
+	s.stats.Misses++
 	if e := s.entries[rel]; e != nil {
 		s.total -= e.size
 		if size == 0 {
@@ -527,17 +528,10 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Hits:        s.hits,
-		Misses:      s.misses,
-		Puts:        s.puts,
-		Evictions:   s.evictions,
-		Corrupt:     s.corrupt,
-		Entries:     len(s.entries),
-		Bytes:       s.total,
-		LoadMicros:  s.loadMicros.Snapshot(),
-		StoreMicros: s.storeMicros.Snapshot(),
-	}
+	st := s.stats
+	st.Entries, st.Bytes = len(s.entries), s.total
+	st.LoadMicros, st.StoreMicros = s.loadMicros.Snapshot(), s.storeMicros.Snapshot()
+	return st
 }
 
 // Close persists the LRU index (recording the touches since the last Put).

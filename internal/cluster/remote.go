@@ -27,23 +27,18 @@ type RemoteGroup struct {
 
 	mu       sync.Mutex
 	breakers map[string]*service.Breaker
-	stats    map[string]*peerCounters
+	stats    map[string]*PeerStats // counters only; Stats adds the breaker
 }
 
-type peerCounters struct {
-	fetches uint64
-	hits    uint64
-	misses  uint64
-	errors  uint64
-}
-
-// PeerStats is one sibling link's lifetime counters plus breaker state.
+// PeerStats is one sibling link's lifetime counters plus breaker state; in
+// the router's exposition its series are tlsrouter_remote_* with a node
+// label.
 type PeerStats struct {
-	URL     string               `json:"url"`
-	Fetches uint64               `json:"fetches"`
-	Hits    uint64               `json:"hits"`
+	URL     string               `json:"url" prom:"node,label"`
+	Fetches uint64               `json:"fetches" prom:"fetches_total" help:"Sibling cache probes sent."`
+	Hits    uint64               `json:"hits" prom:"fetch_hits_total" help:"Sibling cache probes that hit."`
 	Misses  uint64               `json:"misses"`
-	Errors  uint64               `json:"errors"`
+	Errors  uint64               `json:"errors" prom:"fetch_errors_total" help:"Sibling cache probes that failed."`
 	Breaker service.BreakerStats `json:"breaker"`
 }
 
@@ -79,7 +74,7 @@ func NewRemoteGroup(peers []string, opts RemoteOptions) *RemoteGroup {
 		hc:       &http.Client{Timeout: opts.Timeout},
 		log:      opts.Logger,
 		breakers: make(map[string]*service.Breaker, len(peers)),
-		stats:    make(map[string]*peerCounters, len(peers)),
+		stats:    make(map[string]*PeerStats, len(peers)),
 	}
 	for _, p := range g.peers {
 		peer := p
@@ -94,7 +89,7 @@ func NewRemoteGroup(peers []string, opts RemoteOptions) *RemoteGroup {
 			})
 		}
 		g.breakers[peer] = b
-		g.stats[peer] = &peerCounters{}
+		g.stats[peer] = &PeerStats{URL: peer}
 	}
 	return g
 }
@@ -119,14 +114,14 @@ func (g *RemoteGroup) Fetch(ctx context.Context, digest string, preferred ...str
 		body, outcome := g.fetchOne(ctx, peer, digest)
 		g.mu.Lock()
 		c := g.stats[peer]
-		c.fetches++
+		c.Fetches++
 		switch outcome {
 		case fetchHit:
-			c.hits++
+			c.Hits++
 		case fetchMiss:
-			c.misses++
+			c.Misses++
 		default:
-			c.errors++
+			c.Errors++
 		}
 		g.mu.Unlock()
 		if outcome == fetchHit {
@@ -213,11 +208,9 @@ func (g *RemoteGroup) Stats() []PeerStats {
 	defer g.mu.Unlock()
 	out := make([]PeerStats, 0, len(g.peers))
 	for _, p := range g.peers {
-		c := g.stats[p]
-		out = append(out, PeerStats{
-			URL: p, Fetches: c.fetches, Hits: c.hits, Misses: c.misses,
-			Errors: c.errors, Breaker: g.breakers[p].Stats(),
-		})
+		ps := *g.stats[p]
+		ps.Breaker = g.breakers[p].Stats()
+		out = append(out, ps)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out

@@ -167,12 +167,15 @@ func (b *Breaker) setStateLocked(to string) {
 	}
 }
 
-// BreakerStats is the /metrics view of a breaker.
+// BreakerStats is the /metrics view of a breaker. Each user renders it
+// under its own prefix (tlsd_cas_breaker_*, tlsrouter_node_breaker_*), so
+// the help text of each family comes from the embedding field's
+// help.<family> tags, which say what the breaker guards.
 type BreakerStats struct {
-	State               string `json:"state"`
+	State               string `json:"state" prom:"state" enum:"closed,open,half-open"`
 	ConsecutiveFailures int    `json:"consecutive_failures"`
-	Opens               uint64 `json:"opens"`
-	ShortCircuits       uint64 `json:"short_circuits"`
+	Opens               uint64 `json:"opens" prom:"opens_total"`
+	ShortCircuits       uint64 `json:"short_circuits" prom:"short_circuits_total"`
 }
 
 // Stats snapshots the breaker. Safe on nil (a permanently closed circuit).
@@ -188,10 +191,4 @@ func (b *Breaker) Stats() BreakerStats {
 		Opens:               b.opens,
 		ShortCircuits:       b.shorts,
 	}
-}
-
-// BreakerStateNames lists the breaker states in the order the Prometheus
-// one-hot state gauges enumerate them.
-func BreakerStateNames() [3]string {
-	return [3]string{breakerClosed, breakerOpen, breakerHalfOpen}
 }

@@ -157,6 +157,14 @@ func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 	if m.JobsCompleted == 0 {
 		t.Errorf("no jobs completed while degraded")
 	}
+	// The one-hot state gauge names the same states the breaker uses.
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if !bytes.Contains(rec.Body.Bytes(), []byte(`tlsd_cas_breaker_state{state="open"} 1`)) {
+		t.Errorf("exposition does not show the open breaker:\n%s", rec.Body.Bytes())
+	}
 }
 
 // A Prometheus scrape of a chaos-and-breaker-armed daemon stays lintable:

@@ -117,8 +117,9 @@ func (s *Server) poisonedLocked(digest string, now time.Time) *PoisonedError {
 }
 
 // meanServiceLocked is the observed mean per-job service time — the sum of
-// the build, sim, and render stage means (each stage histogram observes
-// exactly once per executed job). ok is false until the first job has
+// the build, sim, render, and publish stage means (each stage histogram
+// observes exactly once per executed job), everything a job costs a worker
+// after its queue wait. ok is false until the first job has
 // executed: a cold server never second-guesses a deadline. Caller holds
 // s.mu.
 func (s *Server) meanServiceLocked() (time.Duration, bool) {
@@ -127,7 +128,7 @@ func (s *Server) meanServiceLocked() (time.Duration, bool) {
 	if cnt == 0 {
 		return 0, false
 	}
-	for _, st := range []stage{stageBuild, stageSim, stageRender} {
+	for st := stageBuild; st < numStages; st++ {
 		sum += s.stageMicros[st].Sum
 	}
 	return time.Duration(sum/cnt) * time.Microsecond, true

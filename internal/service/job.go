@@ -38,9 +38,10 @@ type Failure struct {
 }
 
 // stage indexes the serving-pipeline segments whose latency the daemon
-// accounts separately: queue wait, workload build, simulation, and result
-// rendering. The build and sim stages each accumulate both the TLS and the
-// sequential-reference passes.
+// accounts separately: queue wait, workload build, simulation, result
+// rendering, and the result's publish to the persistent store. The build
+// and sim stages each accumulate both the TLS and the sequential-reference
+// passes.
 type stage int
 
 const (
@@ -48,10 +49,11 @@ const (
 	stageBuild
 	stageSim
 	stageRender
+	stagePublish
 	numStages
 )
 
-var stageNames = [numStages]string{"queue", "build", "sim", "render"}
+var stageNames = [numStages]string{"queue", "build", "sim", "render", "publish"}
 
 func (st stage) String() string { return stageNames[st] }
 

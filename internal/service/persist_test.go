@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"subthreads/internal/cas"
 	"subthreads/internal/chaos"
@@ -23,9 +26,11 @@ func openTestStore(t *testing.T, dir string) *cas.Store {
 }
 
 // Done implies durable: once a job reports done, a process opening the
-// store afresh finds both its result body and its prefix checkpoint. Every
-// disk operation is stalled 100ms — under the breaker's 250ms slow-call
-// trip — so a publish racing the done transition would lose the race.
+// store afresh finds both its result body and its prefix checkpoint, and a
+// body served from a sibling's cache is on local disk before any submitter
+// sees its job done. Every disk operation is stalled 100ms — under the
+// breaker's 250ms slow-call trip — so a publish racing the done transition
+// would lose the race.
 func TestDoneImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("NEW ORDER")
@@ -52,6 +57,57 @@ func TestDoneImpliesDurable(t *testing.T) {
 	}
 	if _, ok := fresh.Get(casSnapNS, snapshotKey(r.Spec, r.Cfg)); !ok {
 		t.Error("job is done but its prefix checkpoint is not in the store")
+	}
+
+	// Remote leg: a body fetched from a sibling replica is published to the
+	// local store before its finished job is installed, so a concurrent
+	// submitter that is served the digest as done finds it on disk.
+	rdir := t.TempDir()
+	rspec := tinySpec("PAYMENT")
+	sibling := []byte(`{"served_by":"sibling"}`)
+	fetched := make(chan struct{})
+	var once sync.Once
+	rs, _ := newTestServer(t, Options{
+		Workers: 1,
+		Store:   openTestStore(t, rdir),
+		Chaos:   chaos.New(chaos.Config{Seed: 1, SlowEvery: 1, SlowMS: 100}),
+		RemoteFetch: func(context.Context, string) ([]byte, string, bool) {
+			once.Do(func() { close(fetched) })
+			return sibling, "sibling", true
+		},
+	})
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := rs.Submit(rspec)
+		first <- err
+	}()
+	<-fetched
+	rr, err := rspec.Resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	// Wait for the digest to be installed, then submit it: the second
+	// submitter is a memory hit on a done job.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		rs.mu.Lock()
+		installed := rs.byDigest[rr.Digest] != nil
+		rs.mu.Unlock()
+		if installed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("remote-fetched digest never installed")
+		}
+	}
+	j, info, err := rs.SubmitDetailed(rspec, "")
+	if err != nil || info.Tier != TierMemory || j.State() != StateDone {
+		t.Fatalf("second submitter: tier %q, err %v; want a done memory hit", info.Tier, err)
+	}
+	if body, ok := openTestStore(t, rdir).Get(casResultNS, rr.Digest); !ok || !bytes.Equal(body, sibling) {
+		t.Error("remote-fetched job is done but its body is not in the store")
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("first submitter: %v", err)
 	}
 }
 

@@ -146,36 +146,16 @@ type Server struct {
 	byDigest map[string]*Job
 	poison   map[string]*poisonEntry
 
-	// Metrics (guarded by mu). Latencies reuse the telemetry histogram so
-	// /metrics speaks the same snapshot schema as the simulator's metrics.
-	submitted     uint64
-	completed     uint64
-	failed        uint64
-	cacheHits     uint64 // digest hit on a completed job: result served as-is
-	deduped       uint64 // digest hit on a queued/running job: attached, no new work
-	diskHits      uint64 // digest hit in the persistent store: served from disk
-	remoteHits    uint64 // digest hit in a sibling replica's cache: served remotely
-	cacheProbes   uint64 // GET /v1/cache/{digest} sibling probes answered
-	probeHits     uint64 // sibling probes that found a stored result
-	cacheMisses   uint64
-	rejected      uint64
-	timedOut      uint64 // jobs abandoned on their deadline ("timeout" failures)
-	cancelled     uint64 // jobs abandoned by disconnect/DELETE/drain
-	poisonRejects uint64 // submissions fast-failed on a quarantined digest
-	deadlineRej   uint64 // submissions rejected as unable to meet their deadline
-	snapHits      uint64 // checkpoint tier: jobs forked from a stored snapshot
-	snapMisses    uint64 // checkpoint tier: probes that found no snapshot
-	snapPuts      uint64 // checkpoint tier: snapshots published to the store
-	snapCorrupt   uint64 // checkpoint tier: snapshots quarantined as unusable
-	jobsForked    uint64 // executed jobs whose main sim forked from a snapshot
-	jobsReplayed  uint64 // executed jobs whose main sim ran in full
-	inFlight      int
+	// Metrics (guarded by mu): the counters as declared in Metrics, then
+	// the gauges and latency histograms MetricsSnapshot reads alongside.
+	c               Counters
+	inFlight        int
 	coldMicros      telemetry.Histogram // submit -> terminal, simulated jobs
 	hitMicros       telemetry.Histogram // lookup time of memory cache-hit submissions
 	diskHitMicros   telemetry.Histogram // lookup time of disk-warm hit submissions
 	remoteHitMicros telemetry.Histogram // lookup time of sibling-cache hit submissions
 	// stageMicros breaks the cold path down by pipeline segment (queue
-	// wait, build, sim, render) for every executed job.
+	// wait, build, sim, render, publish) for every executed job.
 	stageMicros [numStages]telemetry.Histogram
 }
 
@@ -340,7 +320,7 @@ func (s *Server) SubmitDetailed(spec JobSpec, corr string) (j *Job, info SubmitI
 // served a TierRemote hit ("" otherwise).
 func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) (j *Job, tier, from string, queueLen int, err error) {
 	s.mu.Lock()
-	s.submitted++
+	s.c.JobsSubmitted++
 	if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
 		s.mu.Unlock()
 		return prev, t, "", len(s.queue), nil
@@ -349,7 +329,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	// fast-fails here instead of burning another worker. Checked before
 	// the disk probe too — a quarantined digest has no stored result.
 	if pe := s.poisonedLocked(r.Digest, start); pe != nil {
-		s.poisonRejects++
+		s.c.JobsRejectedPoisoned++
 		s.mu.Unlock()
 		return nil, "", "", 0, pe
 	}
@@ -366,7 +346,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 				return prev, t, "", len(s.queue), nil
 			}
 			j = s.installFinishedLocked(corr, spec, r, start, body, now)
-			s.diskHits++
+			s.c.CacheDiskHits++
 			s.diskHitMicros.Observe(uint64(time.Since(start).Microseconds()))
 			return j, TierDisk, "", len(s.queue), nil
 		}
@@ -374,24 +354,23 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 
 	if s.opts.RemoteFetch != nil {
 		if body, peer, ok := s.opts.RemoteFetch(context.Background(), r.Digest); ok {
-			now := time.Now()
-			s.mu.Lock()
-			if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
-				s.mu.Unlock()
-				return prev, t, "", len(s.queue), nil
-			}
-			j = s.installFinishedLocked(corr, spec, r, start, body, now)
-			s.remoteHits++
-			s.remoteHitMicros.Observe(uint64(time.Since(start).Microseconds()))
-			queueLen = len(s.queue)
-			s.mu.Unlock()
 			// Spread the warmth: publish the fetched body locally so the next
 			// restart — and the next sibling probe — finds it on this node.
-			// Outside the lock (disk I/O), gated by the disk breaker.
+			// Outside the lock (disk I/O), gated by the disk breaker, and
+			// before the job is installed, so a done job is durable here too.
 			if s.breaker.Allow() {
 				s.store.Put(casResultNS, r.Digest, body)
 			}
-			return j, TierRemote, peer, queueLen, nil
+			now := time.Now()
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
+				return prev, t, "", len(s.queue), nil
+			}
+			j = s.installFinishedLocked(corr, spec, r, start, body, now)
+			s.c.CacheRemoteHits++
+			s.remoteHitMicros.Observe(uint64(time.Since(start).Microseconds()))
+			return j, TierRemote, peer, len(s.queue), nil
 		}
 	}
 
@@ -412,7 +391,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	if timeout > 0 {
 		if svc, ok := s.meanServiceLocked(); ok {
 			if wait := s.backlogWaitLocked(svc); wait+svc > timeout {
-				s.deadlineRej++
+				s.c.JobsRejectedDeadline++
 				return nil, "", "", 0, &UnmeetableDeadlineError{
 					Deadline:   timeout,
 					Estimate:   wait + svc,
@@ -421,7 +400,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 			}
 		}
 	}
-	s.cacheMisses++
+	s.c.CacheMisses++
 	s.nextID++
 	flightEvents := 0
 	if s.opts.FlightDir != "" {
@@ -432,8 +411,8 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	select {
 	case s.queue <- j:
 	default:
-		s.rejected++
-		s.cacheMisses-- // never admitted; keep the hit ratio honest
+		s.c.JobsRejected++
+		s.c.CacheMisses-- // never admitted; keep the hit ratio honest
 		j.release()
 		return nil, "", "", 0, &QueueFullError{RetryAfter: s.retryAfterLocked()}
 	}
@@ -467,11 +446,11 @@ func (s *Server) memoryHitLocked(digest string, start time.Time) (*Job, string) 
 		return nil, ""
 	}
 	if prev.State() == StateDone {
-		s.cacheHits++
+		s.c.CacheHits++
 		s.hitMicros.Observe(uint64(time.Since(start).Microseconds()))
 		return prev, TierMemory
 	}
-	s.deduped++
+	s.c.DedupedInFlight++
 	return prev, TierDedup
 }
 
@@ -482,20 +461,16 @@ func (s *Server) memoryHitLocked(digest string, start time.Time) (*Job, string) 
 // sibling probing N replicas costs N lookups, not N simulations.
 func (s *Server) CachedResult(digest string) (body []byte, tier string, ok bool) {
 	s.mu.Lock()
-	s.cacheProbes++
+	s.c.CacheProbes++
 	prev := s.byDigest[digest]
 	s.mu.Unlock()
 	if prev != nil && prev.State() == StateDone {
-		s.mu.Lock()
-		s.probeHits++
-		s.mu.Unlock()
+		s.bump(&s.c.CacheProbeHits)
 		return prev.Result(), TierMemory, true
 	}
 	if s.breaker.Allow() {
 		if body, ok := s.store.Get(casResultNS, digest); ok {
-			s.mu.Lock()
-			s.probeHits++
-			s.mu.Unlock()
+			s.bump(&s.c.CacheProbeHits)
 			return body, TierDisk, true
 		}
 	}
@@ -610,15 +585,12 @@ func (s *Server) watchCancel(j *Job) {
 		Error: cause.Error(),
 		Repro: j.res.ReproCommand(),
 	}
-	j.finish(nil, failure, now)
-	j.release()
-
 	s.mu.Lock()
-	s.failed++
+	s.c.JobsFailed++
 	if failure.Kind == "timeout" {
-		s.timedOut++
+		s.c.JobsTimedOut++
 	} else {
-		s.cancelled++
+		s.c.JobsCancelled++
 	}
 	// The digest is free again immediately: a resubmission starts fresh
 	// instead of attaching to a corpse.
@@ -626,6 +598,8 @@ func (s *Server) watchCancel(j *Job) {
 		delete(s.byDigest, j.res.Digest)
 	}
 	s.mu.Unlock()
+	j.finish(nil, failure, now)
+	j.release()
 	s.jlog(slog.LevelWarn, "job cancelled while queued",
 		slog.String("correlation_id", j.corr),
 		slog.String("job", j.id),
@@ -654,27 +628,30 @@ func (s *Server) runJob(j *Job) {
 		(*hook)(j)
 	}
 	body, failure := s.execute(j)
-	if failure == nil && s.breaker.Allow() {
+	if failure == nil {
 		// Publish before finishing, so a job that is done is durable: a
 		// future process — or this one after a restart — serves the digest
 		// from disk. Gated by the breaker: while the disk is sick, skipping
 		// the publish is the degradation, not a loss.
-		s.store.Put(casResultNS, j.res.Digest, body)
+		t := time.Now()
+		j.enterStage(stagePublish, t)
+		if s.breaker.Allow() {
+			s.store.Put(casResultNS, j.res.Digest, body)
+		}
+		j.leaveStage(stagePublish, t)
 	}
+	// Count before finishing, so a job that is done is on /metrics too.
 	finished := time.Now()
-	j.finish(body, failure, finished)
-	j.release()
 	stages := j.stageDurations()
-
 	s.mu.Lock()
 	s.inFlight--
 	if failure != nil {
-		s.failed++
+		s.c.JobsFailed++
 		switch failure.Kind {
 		case "timeout":
-			s.timedOut++
+			s.c.JobsTimedOut++
 		case "cancelled", "drain":
-			s.cancelled++
+			s.c.JobsCancelled++
 		}
 		// A failed run is not a servable result: drop its digest claim so
 		// a resubmission retries instead of replaying the failure forever.
@@ -687,7 +664,7 @@ func (s *Server) runJob(j *Job) {
 			s.notePoisonLocked(j.res.Digest, failure, finished)
 		}
 	} else {
-		s.completed++
+		s.c.JobsCompleted++
 		delete(s.poison, j.res.Digest)
 	}
 	for st := stage(0); st < numStages; st++ {
@@ -695,6 +672,8 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.coldMicros.Observe(uint64(finished.Sub(j.submitted).Microseconds()))
 	s.mu.Unlock()
+	j.finish(body, failure, finished)
+	j.release()
 
 	if failure != nil {
 		s.jlog(slog.LevelError, "job failed",
@@ -717,6 +696,7 @@ func (s *Server) runJob(j *Job) {
 		slog.Float64("build_ms", ms(stages[stageBuild])),
 		slog.Float64("sim_ms", ms(stages[stageSim])),
 		slog.Float64("render_ms", ms(stages[stageRender])),
+		slog.Float64("publish_ms", ms(stages[stagePublish])),
 		slog.Float64("total_ms", ms(finished.Sub(j.submitted))))
 }
 
@@ -897,151 +877,6 @@ func (s *Server) dumpFlight(j *Job) string {
 		return ""
 	}
 	return path
-}
-
-// Metrics is the /metrics snapshot: queue pressure, worker occupancy, cache
-// effectiveness, job outcomes, and latency distributions (microseconds,
-// telemetry histogram schema).
-type Metrics struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Workers       int     `json:"workers"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-	InFlight      int     `json:"in_flight"`
-
-	JobsSubmitted uint64 `json:"jobs_submitted"`
-	JobsCompleted uint64 `json:"jobs_completed"`
-	JobsFailed    uint64 `json:"jobs_failed"`
-	JobsRejected  uint64 `json:"jobs_rejected_queue_full"`
-	// Deadline/cancellation outcomes and degraded-mode rejections.
-	JobsTimedOut         uint64 `json:"jobs_timed_out"`
-	JobsCancelled        uint64 `json:"jobs_cancelled"`
-	JobsRejectedPoisoned uint64 `json:"jobs_rejected_poisoned"`
-	JobsRejectedDeadline uint64 `json:"jobs_rejected_deadline"`
-	PoisonedDigests      int    `json:"poisoned_digests"`
-
-	CacheEntries    int     `json:"cache_entries"`
-	CacheHits       uint64  `json:"cache_hits"`
-	CacheDiskHits   uint64  `json:"cache_disk_hits"`
-	CacheRemoteHits uint64  `json:"cache_remote_hits"`
-	CacheMisses     uint64  `json:"cache_misses"`
-	DedupedInFlight uint64  `json:"deduped_in_flight"`
-	CacheHitRatio   float64 `json:"cache_hit_ratio"`
-	// Sibling-cache probes answered by this node (GET /v1/cache/{digest})
-	// and how many found a stored result.
-	CacheProbes    uint64 `json:"cache_probes"`
-	CacheProbeHits uint64 `json:"cache_probe_hits"`
-
-	// Checkpoint tier: machine-state snapshots forked from / probed /
-	// published / quarantined, and the executed-job fork-vs-replay split.
-	SnapshotHits    uint64 `json:"snapshot_hits"`
-	SnapshotMisses  uint64 `json:"snapshot_misses"`
-	SnapshotPuts    uint64 `json:"snapshot_puts"`
-	SnapshotCorrupt uint64 `json:"snapshot_corrupt"`
-	JobsForked      uint64 `json:"jobs_forked"`
-	JobsReplayed    uint64 `json:"jobs_replayed"`
-
-	ColdLatencyMicros      telemetry.HistogramSnapshot `json:"cold_latency_micros"`
-	HitLatencyMicros       telemetry.HistogramSnapshot `json:"cache_hit_latency_micros"`
-	DiskHitLatencyMicros   telemetry.HistogramSnapshot `json:"disk_hit_latency_micros"`
-	RemoteHitLatencyMicros telemetry.HistogramSnapshot `json:"remote_hit_latency_micros"`
-
-	// CAS is the persistent store's own view — hits, misses, evictions,
-	// quarantined entries, resident set, and disk I/O latencies. nil when
-	// the daemon runs without a cache directory.
-	CAS *cas.Stats `json:"cas,omitempty"`
-	// Breaker is the disk-tier circuit breaker's state and counters. nil
-	// without a persistent store.
-	Breaker *BreakerStats `json:"cas_breaker,omitempty"`
-	// Chaos counts the faults the -chaos schedule has delivered. nil when
-	// chaos is off.
-	Chaos *chaos.Stats `json:"chaos,omitempty"`
-
-	// Per-stage breakdown of the cold path, observed once per executed job:
-	// queue wait, workload build, simulation, result render.
-	QueueWaitMicros     telemetry.HistogramSnapshot `json:"queue_wait_micros"`
-	BuildLatencyMicros  telemetry.HistogramSnapshot `json:"build_latency_micros"`
-	SimLatencyMicros    telemetry.HistogramSnapshot `json:"sim_latency_micros"`
-	RenderLatencyMicros telemetry.HistogramSnapshot `json:"render_latency_micros"`
-}
-
-// stageSnapshot returns the snapshot of one stage histogram, indexed the
-// same way the Prometheus exposition labels them.
-func (m *Metrics) stageSnapshot(st stage) telemetry.HistogramSnapshot {
-	switch st {
-	case stageQueue:
-		return m.QueueWaitMicros
-	case stageBuild:
-		return m.BuildLatencyMicros
-	case stageSim:
-		return m.SimLatencyMicros
-	default:
-		return m.RenderLatencyMicros
-	}
-}
-
-// MetricsSnapshot captures the current serving metrics.
-func (s *Server) MetricsSnapshot() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := Metrics{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Workers:       s.opts.Workers,
-		QueueDepth:    len(s.queue),
-		QueueCapacity: s.opts.QueueDepth,
-		InFlight:      s.inFlight,
-
-		JobsSubmitted: s.submitted,
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failed,
-		JobsRejected:  s.rejected,
-
-		JobsTimedOut:         s.timedOut,
-		JobsCancelled:        s.cancelled,
-		JobsRejectedPoisoned: s.poisonRejects,
-		JobsRejectedDeadline: s.deadlineRej,
-		PoisonedDigests:      len(s.poison),
-
-		CacheEntries:    len(s.byDigest),
-		CacheHits:       s.cacheHits,
-		CacheDiskHits:   s.diskHits,
-		CacheRemoteHits: s.remoteHits,
-		CacheMisses:     s.cacheMisses,
-		DedupedInFlight: s.deduped,
-		CacheProbes:     s.cacheProbes,
-		CacheProbeHits:  s.probeHits,
-
-		SnapshotHits:    s.snapHits,
-		SnapshotMisses:  s.snapMisses,
-		SnapshotPuts:    s.snapPuts,
-		SnapshotCorrupt: s.snapCorrupt,
-		JobsForked:      s.jobsForked,
-		JobsReplayed:    s.jobsReplayed,
-
-		ColdLatencyMicros:      s.coldMicros.Snapshot(),
-		HitLatencyMicros:       s.hitMicros.Snapshot(),
-		DiskHitLatencyMicros:   s.diskHitMicros.Snapshot(),
-		RemoteHitLatencyMicros: s.remoteHitMicros.Snapshot(),
-
-		QueueWaitMicros:     s.stageMicros[stageQueue].Snapshot(),
-		BuildLatencyMicros:  s.stageMicros[stageBuild].Snapshot(),
-		SimLatencyMicros:    s.stageMicros[stageSim].Snapshot(),
-		RenderLatencyMicros: s.stageMicros[stageRender].Snapshot(),
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		m.CAS = &st
-		bs := s.breaker.Stats()
-		m.Breaker = &bs
-	}
-	if s.chaos != nil {
-		cs := s.chaos.Stats()
-		m.Chaos = &cs
-	}
-	if served := m.CacheHits + m.CacheDiskHits + m.CacheRemoteHits + m.DedupedInFlight + m.CacheMisses; served > 0 {
-		m.CacheHitRatio = float64(m.CacheHits+m.CacheDiskHits+m.CacheRemoteHits+m.DedupedInFlight) / float64(served)
-	}
-	return m
 }
 
 // Builds reports how many distinct workload builds the shared cache has

@@ -45,7 +45,7 @@ func snapshotKey(spec workload.Spec, cfg sim.Config) string {
 // ever save work, never fail a job.
 func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolved) (*sim.Result, error) {
 	if cfg.Inject != nil || r.Exp.SequentialSoftware() || s.store == nil {
-		s.noteSim(false)
+		s.bump(&s.c.JobsReplayed)
 		return sim.RunE(cfg, built.Program)
 	}
 	key := snapshotKey(r.Spec, cfg)
@@ -55,7 +55,7 @@ func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolv
 				return res, nil
 			}
 		} else {
-			s.bumpSnap(&s.snapMisses)
+			s.bump(&s.c.SnapshotMisses)
 		}
 	}
 
@@ -70,10 +70,10 @@ func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolv
 		}
 	}
 	res, err := sim.RunE(runCfg, built.Program)
-	s.noteSim(false)
+	s.bump(&s.c.JobsReplayed)
 	if err == nil && captured != nil && s.breaker.Allow() {
 		s.store.Put(casSnapNS, key, captured.Encode())
-		s.bumpSnap(&s.snapPuts)
+		s.bump(&s.c.SnapshotPuts)
 		s.jlog(slog.LevelInfo, "snapshot published",
 			slog.String("correlation_id", j.corr),
 			slog.String("job", j.id),
@@ -92,8 +92,8 @@ func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key str
 	if err == nil {
 		var res *sim.Result
 		if res, err = sim.ResumeE(cfg, built.Program, snap); err == nil {
-			s.bumpSnap(&s.snapHits)
-			s.noteSim(true)
+			s.bump(&s.c.SnapshotHits)
+			s.bump(&s.c.JobsForked)
 			s.jlog(slog.LevelInfo, "job forked from snapshot",
 				slog.String("correlation_id", j.corr),
 				slog.String("job", j.id),
@@ -102,7 +102,7 @@ func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key str
 			return res, nil
 		}
 	}
-	s.bumpSnap(&s.snapCorrupt)
+	s.bump(&s.c.SnapshotCorrupt)
 	s.store.Quarantine(casSnapNS, key, err)
 	s.jlog(slog.LevelWarn, "snapshot quarantined",
 		slog.String("correlation_id", j.corr),
@@ -110,22 +110,4 @@ func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key str
 		slog.String("snapshot", key),
 		slog.String("error", err.Error()))
 	return nil, err
-}
-
-func (s *Server) bumpSnap(c *uint64) {
-	s.mu.Lock()
-	*c++
-	s.mu.Unlock()
-}
-
-// noteSim records a job's main simulation as forked from a checkpoint or
-// replayed in full.
-func (s *Server) noteSim(forked bool) {
-	s.mu.Lock()
-	if forked {
-		s.jobsForked++
-	} else {
-		s.jobsReplayed++
-	}
-	s.mu.Unlock()
 }

@@ -154,6 +154,8 @@ func TestLintPromRejectsMalformed(t *testing.T) {
 		"missing inf bucket": "# TYPE h histogram\nh_sum 9\nh_count 5\n",
 		"bare histogram sample": "# TYPE h histogram\nh 1\n" +
 			`h_bucket{le="+Inf"} 1` + "\nh_sum 1\nh_count 1\n",
+		"split family": "# TYPE x gauge\n# TYPE y gauge\n" +
+			`x{n="a"} 1` + "\ny 1\n" + `x{n="b"} 1` + "\n",
 	}
 	for name, doc := range cases {
 		if err := LintProm([]byte(doc)); err == nil {
@@ -187,5 +189,114 @@ func TestLintPromFile(t *testing.T) {
 	}
 	if err := LintProm(data); err != nil {
 		t.Fatalf("%s is not valid Prometheus text exposition: %v", path, err)
+	}
+}
+
+// TestPromStructRendersDeclarations pins every rule of PromWriter.Struct:
+// kind from type, nested prefixes with help overrides, slice element
+// labels, one-hot enums, constant labels, flattened embedding, nil and
+// untagged fields skipped.
+func TestPromStructRendersDeclarations(t *testing.T) {
+	type link struct {
+		State string `prom:"state" enum:"up,down" help:"Link state."`
+		Trips uint64 `prom:"trips_total" help:"Trips."`
+	}
+	type peer struct {
+		URL  string `prom:"node,label"`
+		Up   bool   `prom:"up" help:"Peer up."`
+		Link link   `prom:"link" help.trips_total:"Peer link trips."`
+	}
+	type counters struct {
+		Jobs uint64 `prom:"jobs_total" help:"Jobs."`
+	}
+	type snapshot struct {
+		Ratio   float64           `prom:"ratio" help:"Ratio."`
+		Size    int64             `prom:"size" help:"Size."`
+		JSON    uint64            `json:"json_only"`
+		Missing *link             `prom:"missing"`
+		Link    *link             `prom:"link"`
+		Peers   []peer            `prom:"peer"`
+		Lat     HistogramSnapshot `prom:"lat" label:"stage=a" help:"Latency."`
+		Lat2    HistogramSnapshot `prom:"lat" label:"stage=b"`
+		counters
+	}
+	var buf bytes.Buffer
+	p := NewPromWriter(&buf)
+	p.Struct("x", snapshot{
+		Ratio: 0.5, Size: 7, JSON: 9,
+		Link:     &link{State: "down", Trips: 2},
+		Peers:    []peer{{URL: "http://a", Up: true, Link: link{State: "up", Trips: 1}}},
+		counters: counters{Jobs: 3},
+	})
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	want := strings.Join([]string{
+		"# HELP x_ratio Ratio.", "# TYPE x_ratio gauge", "x_ratio 0.5",
+		"# HELP x_size Size.", "# TYPE x_size gauge", "x_size 7",
+		"# HELP x_link_state Link state.", "# TYPE x_link_state gauge",
+		`x_link_state{state="up"} 0`, `x_link_state{state="down"} 1`,
+		"# HELP x_link_trips_total Trips.", "# TYPE x_link_trips_total counter", "x_link_trips_total 2",
+		"# HELP x_peer_up Peer up.", "# TYPE x_peer_up gauge", `x_peer_up{node="http://a"} 1`,
+		"# HELP x_peer_link_state Link state.", "# TYPE x_peer_link_state gauge",
+		`x_peer_link_state{node="http://a",state="up"} 1`, `x_peer_link_state{node="http://a",state="down"} 0`,
+		"# HELP x_peer_link_trips_total Peer link trips.", "# TYPE x_peer_link_trips_total counter",
+		`x_peer_link_trips_total{node="http://a"} 1`,
+		"# HELP x_lat Latency.", "# TYPE x_lat histogram",
+		`x_lat_bucket{stage="a",le="+Inf"} 0`, `x_lat_sum{stage="a"} 0`, `x_lat_count{stage="a"} 0`,
+		`x_lat_bucket{stage="b",le="+Inf"} 0`, `x_lat_sum{stage="b"} 0`, `x_lat_count{stage="b"} 0`,
+		"# HELP x_jobs_total Jobs.", "# TYPE x_jobs_total counter", "x_jobs_total 3",
+		"",
+	}, "\n")
+	if got := buf.String(); got != want {
+		t.Errorf("exposition output:\n%s\nwant:\n%s", got, want)
+	}
+	if err := LintProm(buf.Bytes()); err != nil {
+		t.Errorf("LintProm: %v", err)
+	}
+
+	// A tagged field of a type with no rendering is a declaration error.
+	p = NewPromWriter(&bytes.Buffer{})
+	p.Struct("x", struct {
+		Name string `prom:"name"`
+	}{})
+	if err := p.Flush(); err == nil {
+		t.Error("a tagged string without enum rendered without error")
+	}
+}
+
+// Samples of one family arriving between another family's are grouped
+// under the family's header.
+func TestPromWriterGroupsFamilies(t *testing.T) {
+	var buf bytes.Buffer
+	p := NewPromWriter(&buf)
+	p.Gauge("up", "Up.", 1, PromLabel{"node", "a"})
+	p.Counter("reqs_total", "Requests.", 2, PromLabel{"node", "a"})
+	p.Gauge("up", "Up.", 0, PromLabel{"node", "b"})
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	want := "# HELP up Up.\n# TYPE up gauge\n" + `up{node="a"} 1` + "\n" + `up{node="b"} 0` + "\n" +
+		"# HELP reqs_total Requests.\n# TYPE reqs_total counter\n" + `reqs_total{node="a"} 2` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("exposition output:\n%s\nwant:\n%s", got, want)
+	}
+	if err := LintProm(buf.Bytes()); err != nil {
+		t.Errorf("LintProm: %v", err)
+	}
+}
+
+func TestWantsProm(t *testing.T) {
+	for accept, want := range map[string]bool{
+		"":                          false,
+		"*/*":                       false,
+		"application/json":          false,
+		"text/plain":                true,
+		"TEXT/PLAIN; version=0.0.4": true,
+		"application/openmetrics-text;version=1.0.0, text/plain": true,
+	} {
+		if got := WantsProm(accept); got != want {
+			t.Errorf("WantsProm(%q) = %v, want %v", accept, got, want)
+		}
 	}
 }

@@ -15,13 +15,15 @@ import (
 //   - every sample line parses (metric name, optional labels, float value)
 //     with legal metric and label name characters;
 //   - every sample belongs to a declared family (histogram samples may use
-//     the _bucket/_sum/_count suffixes of a histogram-typed family);
+//     the _bucket/_sum/_count suffixes of a histogram-typed family), and
+//     each family's samples form one contiguous group;
 //   - no sample value is NaN or ±Inf — a fresh daemon must scrape clean;
 //   - histogram buckets are cumulative (non-decreasing in document order per
 //     label set) and every bucket series ends with le="+Inf" equal to _count.
 func LintProm(data []byte) error {
 	l := promLint{
 		types:   make(map[string]string),
+		ended:   make(map[string]bool),
 		buckets: make(map[string]float64),
 		infs:    make(map[string]float64),
 		counts:  make(map[string]float64),
@@ -36,6 +38,8 @@ func LintProm(data []byte) error {
 
 type promLint struct {
 	types   map[string]string  // family -> type
+	current string             // family of the latest sample
+	ended   map[string]bool    // families whose sample group has ended
 	buckets map[string]float64 // family + label set (minus le) -> last cumulative count
 	infs    map[string]float64 // family + label set -> +Inf bucket value
 	counts  map[string]float64 // family + label set -> _count value
@@ -114,6 +118,13 @@ func (l *promLint) sample(line string) error {
 	typ, ok := l.types[family]
 	if !ok {
 		return fmt.Errorf("sample %s has no TYPE declaration", name)
+	}
+	if family != l.current {
+		if l.ended[family] {
+			return fmt.Errorf("family %s has samples after another family's", family)
+		}
+		l.ended[l.current] = true
+		l.current = family
 	}
 	if typ != "histogram" {
 		return nil
