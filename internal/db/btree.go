@@ -63,15 +63,15 @@ func (t *Tree) newNode(leaf bool) *node {
 func (t *Tree) findIdx(c *Ctx, n *node, key int64) int {
 	lo, hi := 0, len(n.keys)
 	if c != nil {
-		c.rec.Load(t.env.site(t.name+".hdr.count.load"), n.page.hdrCount())
+		c.rec.Load(t.env.siteOf(t.name, ".hdr.count.load"), n.page.hdrCount())
 		c.rec.ALU(3)
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if c != nil {
-			c.rec.Load(t.env.site(t.name+".key.probe"), n.page.keyAddr(mid))
+			c.rec.Load(t.env.siteOf(t.name, ".key.probe"), n.page.keyAddr(mid))
 			c.rec.ALU(4)
-			c.rec.Branch(t.env.site(t.name+".probe.branch"), c.nextHash()%2 == 0)
+			c.rec.Branch(t.env.siteOf(t.name, ".probe.branch"), c.nextHash()%2 == 0)
 		}
 		if n.keys[mid] < key {
 			lo = mid + 1
@@ -87,15 +87,15 @@ func (t *Tree) findIdx(c *Ctx, n *node, key int64) int {
 func (t *Tree) upperIdx(c *Ctx, n *node, key int64) int {
 	lo, hi := 0, len(n.keys)
 	if c != nil {
-		c.rec.Load(t.env.site(t.name+".hdr.count.load"), n.page.hdrCount())
+		c.rec.Load(t.env.siteOf(t.name, ".hdr.count.load"), n.page.hdrCount())
 		c.rec.ALU(3)
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if c != nil {
-			c.rec.Load(t.env.site(t.name+".key.probe"), n.page.keyAddr(mid))
+			c.rec.Load(t.env.siteOf(t.name, ".key.probe"), n.page.keyAddr(mid))
 			c.rec.ALU(4)
-			c.rec.Branch(t.env.site(t.name+".probe.branch"), c.nextHash()%2 == 0)
+			c.rec.Branch(t.env.siteOf(t.name, ".probe.branch"), c.nextHash()%2 == 0)
 		}
 		if n.keys[mid] <= key {
 			lo = mid + 1
@@ -131,7 +131,7 @@ func (t *Tree) descend(c *Ctx, key int64, forWrite bool) (leaf *node, path []*no
 		// exceeds key.
 		i := t.upperIdx(c, n, key)
 		if c != nil {
-			c.rec.Load(t.env.site(t.name+".child.load"), n.page.slotAddr(i))
+			c.rec.Load(t.env.siteOf(t.name, ".child.load"), n.page.slotAddr(i))
 			t.env.pool.unpin(c, n.page)
 		}
 		prev = n
@@ -147,7 +147,7 @@ func (t *Tree) Get(c *Ctx, key int64) (*Row, bool) {
 	found := i < len(leaf.keys) && leaf.keys[i] == key
 	if c != nil {
 		if found {
-			c.rec.Load(t.env.site(t.name+".row.ptr"), leaf.page.slotAddr(i))
+			c.rec.Load(t.env.siteOf(t.name, ".row.ptr"), leaf.page.slotAddr(i))
 			c.work(t.name+".get", t.env.cfg.Costs.RowRead)
 		}
 		t.env.unlatchPage(c, leaf.page)
@@ -168,7 +168,7 @@ func (t *Tree) GetForUpdate(c *Ctx, key int64) (*Row, bool) {
 	found := i < len(leaf.keys) && leaf.keys[i] == key
 	if c != nil {
 		if found {
-			c.rec.Load(t.env.site(t.name+".row.ptr"), leaf.page.slotAddr(i))
+			c.rec.Load(t.env.siteOf(t.name, ".row.ptr"), leaf.page.slotAddr(i))
 			c.work(t.name+".get", t.env.cfg.Costs.RowRead)
 		}
 		t.env.unlatchPage(c, leaf.page)
@@ -193,11 +193,11 @@ func (t *Tree) Insert(c *Ctx, key int64, row *Row) {
 		// Slot shift, key/pointer stores, and the entry-count update:
 		// the leaf header store is the contended word.
 		c.work(t.name+".insert", t.env.cfg.Costs.LeafInsert)
-		c.rec.Store(t.env.site(t.name+".slot.shift"), leaf.page.slotAddr(i))
-		c.rec.Store(t.env.site(t.name+".key.store"), leaf.page.keyAddr(i))
-		c.rec.Store(t.env.site(t.name+".rowptr.store"), leaf.page.slotAddr(i))
+		c.rec.Store(t.env.siteOf(t.name, ".slot.shift"), leaf.page.slotAddr(i))
+		c.rec.Store(t.env.siteOf(t.name, ".key.store"), leaf.page.keyAddr(i))
+		c.rec.Store(t.env.siteOf(t.name, ".rowptr.store"), leaf.page.slotAddr(i))
 		c.rec.ALU(4)
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), leaf.page.hdrCount())
+		c.rec.Store(t.env.siteOf(t.name, ".hdr.count.store"), leaf.page.hdrCount())
 	}
 	leaf.keys = insertAt(leaf.keys, i, key)
 	leaf.rows = insertRowAt(leaf.rows, i, row)
@@ -214,9 +214,9 @@ func (t *Tree) Insert(c *Ctx, key int64, row *Row) {
 		// Table record-count statistics: one of the "actual data
 		// dependences which are difficult to optimize away" (§5) —
 		// every insert into the same table conflicts here.
-		c.rec.Load(t.env.site(t.name+".stats.load"), t.stats)
+		c.rec.Load(t.env.siteOf(t.name, ".stats.load"), t.stats)
 		c.rec.ALU(3)
-		c.rec.Store(t.env.site(t.name+".stats.store"), t.stats)
+		c.rec.Store(t.env.siteOf(t.name, ".stats.store"), t.stats)
 		t.env.log.record(c, 8)
 	}
 }
@@ -237,14 +237,14 @@ func (t *Tree) Delete(c *Ctx, key int64) bool {
 	if c != nil {
 		c.noteWrite()
 		c.work(t.name+".delete", t.env.cfg.Costs.LeafDelete)
-		c.rec.Store(t.env.site(t.name+".slot.shift"), leaf.page.slotAddr(i))
+		c.rec.Store(t.env.siteOf(t.name, ".slot.shift"), leaf.page.slotAddr(i))
 		c.rec.ALU(4)
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), leaf.page.hdrCount())
+		c.rec.Store(t.env.siteOf(t.name, ".hdr.count.store"), leaf.page.hdrCount())
 		t.env.unlatchPage(c, leaf.page)
 		t.env.pool.unpin(c, leaf.page)
-		c.rec.Load(t.env.site(t.name+".stats.load"), t.stats)
+		c.rec.Load(t.env.siteOf(t.name, ".stats.load"), t.stats)
 		c.rec.ALU(3)
-		c.rec.Store(t.env.site(t.name+".stats.store"), t.stats)
+		c.rec.Store(t.env.siteOf(t.name, ".stats.store"), t.stats)
 		t.env.log.record(c, 6)
 	}
 	if c != nil {
@@ -267,11 +267,11 @@ func (t *Tree) Scan(c *Ctx, from int64, max int, fn func(key int64, r *Row) bool
 	for leaf != nil {
 		for ; i < len(leaf.keys); i++ {
 			if c != nil {
-				c.rec.Load(t.env.site(t.name+".scan.key"), leaf.page.keyAddr(i))
-				c.rec.Load(t.env.site(t.name+".scan.ptr"), leaf.page.slotAddr(i))
+				c.rec.Load(t.env.siteOf(t.name, ".scan.key"), leaf.page.keyAddr(i))
+				c.rec.Load(t.env.siteOf(t.name, ".scan.ptr"), leaf.page.slotAddr(i))
 				c.rec.ALU(6)
 				c.branchSeq++
-				c.rec.Branch(t.env.site(t.name+".scan.branch"), true)
+				c.rec.Branch(t.env.siteOf(t.name, ".scan.branch"), true)
 			}
 			if !fn(leaf.keys[i], leaf.rows[i]) {
 				if c != nil {
@@ -296,7 +296,7 @@ func (t *Tree) Scan(c *Ctx, from int64, max int, fn func(key int64, r *Row) bool
 			if next != nil {
 				t.env.pool.get(c, next.page, false)
 				t.env.latchPage(c, next.page, false)
-				c.rec.Load(t.env.site(t.name+".hdr.count.load"), next.page.hdrCount())
+				c.rec.Load(t.env.siteOf(t.name, ".hdr.count.load"), next.page.hdrCount())
 			}
 		}
 		leaf = next
@@ -334,11 +334,11 @@ func (t *Tree) split(c *Ctx, n *node, path []*node) {
 		// Moving half the entries is a burst of page traffic.
 		c.work(t.name+".split", 800)
 		for i := 0; i < 8; i++ {
-			c.rec.Load(t.env.site(t.name+".split.copy.load"), n.page.keyAddr(mid+i))
-			c.rec.Store(t.env.site(t.name+".split.copy.store"), right.page.keyAddr(i))
+			c.rec.Load(t.env.siteOf(t.name, ".split.copy.load"), n.page.keyAddr(mid+i))
+			c.rec.Store(t.env.siteOf(t.name, ".split.copy.store"), right.page.keyAddr(i))
 		}
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), n.page.hdrCount())
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), right.page.hdrCount())
+		c.rec.Store(t.env.siteOf(t.name, ".hdr.count.store"), n.page.hdrCount())
+		c.rec.Store(t.env.siteOf(t.name, ".hdr.count.store"), right.page.hdrCount())
 	}
 
 	if len(path) == 0 {
@@ -355,8 +355,8 @@ func (t *Tree) split(c *Ctx, n *node, path []*node) {
 	parent.keys = insertAt(parent.keys, i, sep)
 	parent.kids = insertNodeAt(parent.kids, i+1, right)
 	if c != nil {
-		c.rec.Store(t.env.site(t.name+".parent.key.store"), parent.page.keyAddr(i))
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), parent.page.hdrCount())
+		c.rec.Store(t.env.siteOf(t.name, ".parent.key.store"), parent.page.keyAddr(i))
+		c.rec.Store(t.env.siteOf(t.name, ".hdr.count.store"), parent.page.hdrCount())
 	}
 	if len(parent.keys) > t.env.cfg.NodeCapacity {
 		t.split(c, parent, path[:len(path)-1])

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"subthreads/internal/isa"
 	"subthreads/internal/mem"
 	"subthreads/internal/trace"
 )
@@ -99,10 +100,18 @@ func (c *Ctx) Work(site string, n int) {
 	if n <= 0 {
 		return
 	}
-	pcB1 := c.env.site(site + ".loop")
-	pcB2 := c.env.site(site + ".cond")
-	pcL := c.env.site(site + ".spill.load")
-	pcS := c.env.site(site + ".spill.store")
+	pcs, ok := c.env.workSites[site]
+	if !ok {
+		// Registered in this order on a site's first use.
+		pcs = [4]isa.PC{
+			c.env.site(site + ".loop"),
+			c.env.site(site + ".cond"),
+			c.env.site(site + ".spill.load"),
+			c.env.site(site + ".spill.store"),
+		}
+		c.env.workSites[site] = pcs
+	}
+	pcB1, pcB2, pcL, pcS := pcs[0], pcs[1], pcs[2], pcs[3]
 	for n >= 36 {
 		c.rec.ALU(10)
 		c.rec.Load(pcL, c.stackLoadAddr())

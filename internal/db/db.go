@@ -136,7 +136,16 @@ type Env struct {
 	nextTxn uint64
 
 	trees []*Tree
+
+	// sites and workSites memoize the PCs of the sites named by
+	// concatenation (siteOf, Ctx.Work), so a recorded access looks its PC
+	// up without building the name again.
+	sites     map[siteKey]isa.PC
+	workSites map[string][4]isa.PC
 }
+
+// siteKey names the site base+suffix.
+type siteKey struct{ base, suffix string }
 
 // NewEnv creates an environment. The address-space regions are sized
 // generously; exhaustion panics (it would be a workload-sizing bug).
@@ -153,6 +162,9 @@ func NewEnv(cfg Config) *Env {
 		stacks: sp.NewRegion("stacks", 1<<20),
 		logReg: sp.NewRegion("log", 64<<20),
 		misc:   sp.NewRegion("misc", 32<<20),
+
+		sites:     make(map[siteKey]isa.PC),
+		workSites: make(map[string][4]isa.PC),
 	}
 	e.pool = newPool(e, 1024)
 	e.locks = newLockTable(e, 256)
@@ -186,6 +198,18 @@ func (c *Ctx) EmitALU(n uint32) { c.rec.ALU(n) }
 
 // site returns the stable synthetic PC for a named instrumentation site.
 func (e *Env) site(name string) isa.PC { return e.PCs.Site(name) }
+
+// siteOf is site(base+suffix): the first call registers the name at the
+// same point in the PC order that site would, later calls only look it up.
+func (e *Env) siteOf(base, suffix string) isa.PC {
+	k := siteKey{base, suffix}
+	pc, ok := e.sites[k]
+	if !ok {
+		pc = e.site(base + suffix)
+		e.sites[k] = pc
+	}
+	return pc
+}
 
 // allocator is the heap allocator for row storage. Unoptimized, it is a
 // single bump pointer whose word every insert loads and stores — a classic

@@ -32,16 +32,32 @@ type httpMux = *http.ServeMux
 //
 // Every route declares its method, so a wrong-method request is a uniform
 // 405 with an Allow header, and every response names its Content-Type.
-func (s *Server) Handler() http.Handler { return s.observed(s.mux) }
+func (s *Server) Handler() http.Handler { return Observe(s.mux, s.logAccess) }
 
-// observed wraps next with the observability middleware: it accepts or
-// generates the X-Correlation-ID, echoes it on the response, threads it
-// through the request context into job admission, and writes one structured
-// access-log line per request (method, path, status, bytes, latency,
-// correlation ID). With logging disabled the middleware still maintains the
-// correlation contract.
-func (s *Server) observed(next http.Handler) http.Handler {
+// logAccess writes the daemon's access-log line for one request.
+func (s *Server) logAccess(r *http.Request, corr string, status, bytes int, elapsed time.Duration) {
+	if s.log == nil {
+		return
+	}
+	s.log.LogAttrs(r.Context(), slog.LevelInfo, "http access",
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", status),
+		slog.Int("bytes", bytes),
+		slog.Float64("latency_ms", ms(elapsed)),
+		slog.String("correlation_id", corr))
+}
+
+// Observe wraps next with the observability middleware tlsd and tlsrouter
+// share: it accepts a log-safe X-Correlation-ID or generates one, echoes it
+// on the response, and threads it through the request context
+// (CorrelationFrom) into job admission and proxying. After next returns it
+// hands access the request, its correlation ID, the response status and
+// body size, and the latency, for one access-log line; with logging
+// disabled the middleware still maintains the correlation contract.
+func Observe(next http.Handler, access func(r *http.Request, corr string, status, bytes int, elapsed time.Duration)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		corr := sanitizeCorrelation(r.Header.Get(CorrelationHeader))
 		if corr == "" {
 			corr = NewCorrelationID()
@@ -49,24 +65,15 @@ func (s *Server) observed(next http.Handler) http.Handler {
 		w.Header().Set(CorrelationHeader, corr)
 		r = r.WithContext(withCorrelation(r.Context(), corr))
 
-		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		if s.log == nil {
-			return
-		}
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "http access",
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status()),
-			slog.Int("bytes", sw.bytes),
-			slog.Float64("latency_ms", ms(time.Since(start))),
-			slog.String("correlation_id", corr))
+		access(r, corr, sw.status(), sw.bytes, time.Since(start))
 	})
 }
 
 // statusWriter captures the response status and body size for the access
-// log. It forwards Flush so the SSE endpoint still streams through it.
+// log. It forwards Flush so SSE streams, served or proxied, still stream
+// through it.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -173,7 +180,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	j, info, err := s.SubmitDetailed(spec, correlationFrom(r.Context()))
+	j, info, err := s.SubmitDetailed(spec, CorrelationFrom(r.Context()))
 	hit := info.Hit
 	var poisoned *PoisonedError
 	var unmeetable *UnmeetableDeadlineError

@@ -89,7 +89,7 @@ type Metrics struct {
 	// Per-stage breakdown of the cold path, observed once per executed job:
 	// queue wait, workload build, simulation, result render, and the
 	// result's publish to the persistent store.
-	QueueWaitMicros      telemetry.HistogramSnapshot `json:"queue_wait_micros" prom:"job_stage_latency_microseconds" label:"stage=queue" help:"Executed-job latency by pipeline stage (queue wait, workload build, simulation, result render)."`
+	QueueWaitMicros      telemetry.HistogramSnapshot `json:"queue_wait_micros" prom:"job_stage_latency_microseconds" label:"stage=queue" help:"Executed-job latency by pipeline stage (queue wait, workload build, simulation, result render, result publish)."`
 	BuildLatencyMicros   telemetry.HistogramSnapshot `json:"build_latency_micros" prom:"job_stage_latency_microseconds" label:"stage=build"`
 	SimLatencyMicros     telemetry.HistogramSnapshot `json:"sim_latency_micros" prom:"job_stage_latency_microseconds" label:"stage=sim"`
 	RenderLatencyMicros  telemetry.HistogramSnapshot `json:"render_latency_micros" prom:"job_stage_latency_microseconds" label:"stage=render"`

@@ -12,6 +12,7 @@ import (
 
 	"subthreads/internal/db"
 	"subthreads/internal/mem"
+	"subthreads/internal/trace"
 )
 
 // Scale sizes the single-warehouse dataset. The paper uses the full TPC-C
@@ -132,6 +133,10 @@ type DB struct {
 	// lastOut collects the most recent transaction's client-visible
 	// result values (see LastOutput) for the differential oracle.
 	lastOut []int64
+
+	// rec is the scratch buffer every transaction records into (see
+	// recorder and Release); nil until the first transaction.
+	rec *trace.Builder
 }
 
 // Key encodings (single warehouse).

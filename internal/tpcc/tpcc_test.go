@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"reflect"
 	"testing"
 
 	"subthreads/internal/db"
@@ -311,6 +312,37 @@ func TestStateAdvancesIdenticallyAcrossModes(t *testing.T) {
 	rb, _ := dB.District.Get(nil, 1)
 	if ra.Fields[DNextOID] != rb.Fields[DNextOID] {
 		t.Error("district sequence diverged across modes")
+	}
+}
+
+// WarmTxn differs from RunTxn only in keeping no trace: the database
+// state, the site registrations and the next recorded transaction come out
+// the same, whether or not the recording buffer went back to the pool.
+func TestWarmTxnMatchesRunTxn(t *testing.T) {
+	for _, b := range []Benchmark{NewOrder, DeliveryOuter, StockLevel} {
+		ins := GenInputs(b, tinyScale(), 17, 3)
+		dRun := loadTiny(t, db.OptAll())
+		dWarm := loadTiny(t, db.OptAll())
+		for _, in := range ins[:2] {
+			dRun.RunTxn(in, ModeTLS)
+			dWarm.WarmTxn(in, ModeTLS)
+			dWarm.Release()
+		}
+		if dRun.Env.StateDigest() != dWarm.Env.StateDigest() {
+			t.Fatalf("%v: warm-up changed the database state", b)
+		}
+		if !reflect.DeepEqual(dRun.Env.PCs.Names(), dWarm.Env.PCs.Names()) {
+			t.Fatalf("%v: warm-up changed site registration", b)
+		}
+		got, want := dWarm.RunTxn(ins[2], ModeTLS), dRun.RunTxn(ins[2], ModeTLS)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d segments after warm-up, want %d", b, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Iter != want[i].Iter || !reflect.DeepEqual(got[i].Trace.Events(), want[i].Trace.Events()) {
+				t.Fatalf("%v: segment %d differs after warm-up", b, i)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"fmt"
+	"sync"
 
 	"subthreads/internal/db"
 	"subthreads/internal/mem"
@@ -38,11 +39,40 @@ const (
 	serialSlot       = 0
 )
 
+// recorders recycles the scratch trace buffers transactions record into.
+// A buffer grows to the largest segment it has recorded, so a DB that
+// records many transactions pays for that growth once, and a DB that gives
+// its buffer back (Release) hands the capacity to the next one.
+var recorders = sync.Pool{New: func() any { return trace.NewBuilder() }}
+
+// recorder returns the DB's scratch buffer, taking one from the pool on
+// first use.
+func (d *DB) recorder() *trace.Builder {
+	if d.rec == nil {
+		d.rec = recorders.Get().(*trace.Builder)
+		d.rec.Reset()
+	}
+	return d.rec
+}
+
+// Release returns the DB's scratch trace buffer to the pool. Segments
+// already returned by RunTxn are copies and stay valid; a later RunTxn takes
+// a buffer again.
+func (d *DB) Release() {
+	if d.rec != nil {
+		recorders.Put(d.rec)
+		d.rec = nil
+	}
+}
+
 // emitter drives one transaction execution, cutting the recorded stream into
-// segments at loop boundaries.
+// segments at loop boundaries. Every context records into the DB's one
+// scratch buffer; each cut copies the segment out at exact size, or, when
+// keep is false, only empties the buffer.
 type emitter struct {
 	d       *DB
 	mode    Mode
+	keep    bool
 	segs    []Segment
 	b       *trace.Builder
 	curIter bool
@@ -51,8 +81,8 @@ type emitter struct {
 	iterIdx int
 }
 
-func newEmitter(d *DB, mode Mode) *emitter {
-	em := &emitter{d: d, mode: mode, b: trace.NewBuilder()}
+func newEmitter(d *DB, mode Mode, keep bool) *emitter {
+	em := &emitter{d: d, mode: mode, keep: keep, b: d.recorder()}
 	em.serial = d.Env.NewCtx(em.b, serialSlot)
 	return em
 }
@@ -60,8 +90,11 @@ func newEmitter(d *DB, mode Mode) *emitter {
 // cut closes the current segment (if non-empty) and starts a new one.
 func (em *emitter) cut(nextIter bool) {
 	if em.b.Instrs() > 0 {
-		em.segs = append(em.segs, Segment{Trace: em.b.Finish(), Iter: em.curIter})
-		em.b = trace.NewBuilder()
+		if em.keep {
+			em.segs = append(em.segs, Segment{Trace: em.b.Finish(), Iter: em.curIter})
+		} else {
+			em.b.Reset()
+		}
 	}
 	em.curIter = nextIter
 }
@@ -99,11 +132,9 @@ func (em *emitter) endIter(c *db.Ctx) {
 
 // endLoop returns to serial recording after a parallelized loop.
 func (em *emitter) endLoop() *db.Ctx {
-	if em.mode == ModeFlat {
-		return em.serial
+	if em.mode != ModeFlat {
+		em.cut(false)
 	}
-	em.cut(false)
-	em.serial.SetRecorder(em.b)
 	return em.serial
 }
 
@@ -118,20 +149,31 @@ func (em *emitter) finish() []Segment {
 // execution would — the simulator's job is to preserve precisely these
 // semantics under speculation.
 func (d *DB) RunTxn(in Input, mode Mode) []Segment {
+	return d.run(in, newEmitter(d, mode, true))
+}
+
+// WarmTxn executes one transaction exactly as RunTxn does — the same
+// database effects, the same site registrations, the same recorder calls —
+// but keeps no trace: warm-up transactions are not timed.
+func (d *DB) WarmTxn(in Input, mode Mode) {
+	d.run(in, newEmitter(d, mode, false))
+}
+
+func (d *DB) run(in Input, em *emitter) []Segment {
 	d.lastOut = d.lastOut[:0]
 	switch in.Bench {
 	case NewOrder, NewOrder150:
-		return d.newOrder(in, mode)
+		return d.newOrder(in, em)
 	case Payment:
-		return d.payment(in, mode)
+		return d.payment(in, em)
 	case OrderStatus:
-		return d.orderStatus(in, mode)
+		return d.orderStatus(in, em)
 	case Delivery:
-		return d.delivery(in, mode, false)
+		return d.delivery(in, em, false)
 	case DeliveryOuter:
-		return d.delivery(in, mode, true)
+		return d.delivery(in, em, true)
 	case StockLevel:
-		return d.stockLevel(in, mode)
+		return d.stockLevel(in, em)
 	default:
 		panic(fmt.Sprintf("tpcc: unknown benchmark %v", in.Bench))
 	}
@@ -140,9 +182,8 @@ func (d *DB) RunTxn(in Input, mode Mode) []Segment {
 // newOrder is the TPC-C NEW ORDER transaction with its per-order-line loop
 // parallelized — the paper's flagship workload (§1, §4.1). Each order line
 // reads ITEM, reads and updates STOCK, and inserts an ORDER_LINE row.
-func (d *DB) newOrder(in Input, mode Mode) []Segment {
+func (d *DB) newOrder(in Input, em *emitter) []Segment {
 	sqlRow := d.Env.Config().Costs.SQLRow
-	em := newEmitter(d, mode)
 	c := em.begin()
 
 	c.Work("sql.neworder.begin", sqlRow)
@@ -236,9 +277,8 @@ func (d *DB) newOrder(in Input, mode Mode) []Segment {
 // payment, with the customer selected by last name. The parallelized loop is
 // the last-name candidate scan — short, which is why the paper finds PAYMENT
 // "lacks significant parallelism in the transaction code".
-func (d *DB) payment(in Input, mode Mode) []Segment {
+func (d *DB) payment(in Input, em *emitter) []Segment {
 	sqlRow := d.Env.Config().Costs.SQLRow
-	em := newEmitter(d, mode)
 	c := em.begin()
 
 	c.Work("sql.payment.warehouse", sqlRow)
@@ -285,8 +325,7 @@ func (d *DB) payment(in Input, mode Mode) []Segment {
 // orderStatus is TPC-C ORDER STATUS: look up a customer by last name, then
 // read their most recent order and its lines. Like PAYMENT, the only loop
 // worth parallelizing (the candidate scan) is short.
-func (d *DB) orderStatus(in Input, mode Mode) []Segment {
-	em := newEmitter(d, mode)
+func (d *DB) orderStatus(in Input, em *emitter) []Segment {
 	c := em.begin()
 	c.Work("sql.orderstatus.setup", 6000)
 
@@ -332,10 +371,9 @@ func (d *DB) orderStatus(in Input, mode Mode) []Segment {
 // paper parallelizes either the inner per-order-line loop (63% coverage,
 // ~33k-instruction threads) or the outer per-district loop (99% coverage,
 // ~490k-instruction threads).
-func (d *DB) delivery(in Input, mode Mode, outer bool) []Segment {
+func (d *DB) delivery(in Input, em *emitter, outer bool) []Segment {
 	costs := d.Env.Config().Costs
 	sqlRow := costs.SQLRow
-	em := newEmitter(d, mode)
 	c := em.begin()
 	c.Work("sql.delivery.begin", sqlRow/2)
 
@@ -424,8 +462,7 @@ func (d *DB) delivery(in Input, mode Mode, outer bool) []Segment {
 // parallelized loop is per recent order; the work is read-only, which is why
 // this transaction approaches the NO SPECULATION upper bound once its cache
 // behaviour allows.
-func (d *DB) stockLevel(in Input, mode Mode) []Segment {
-	em := newEmitter(d, mode)
+func (d *DB) stockLevel(in Input, em *emitter) []Segment {
 	c := em.begin()
 	c.Work("sql.stocklevel.district", 4000)
 	drow, _ := d.District.Get(c, int64(in.D))

@@ -43,8 +43,7 @@ func (t *Trace) Encode(w *snapbin.Writer) {
 func Decode(r *snapbin.Reader) *Trace {
 	// Real traces are a few hundred thousand events.
 	n := r.Count("trace events", 1<<28)
-	b := Builder{}
-	b.t.events = make([]Event, 0, n)
+	t := &Trace{events: make([]Event, 0, n)}
 	for i := 0; i < n; i++ {
 		e := Event{Kind: isa.Kind(r.U8("event kind")), N: 1}
 		switch e.Kind {
@@ -69,10 +68,10 @@ func Decode(r *snapbin.Reader) *Trace {
 		}
 		// push (not the merging ALU method) preserves the recorded event
 		// sequence exactly while recomputing instrs and per-kind counts.
-		b.push(e)
+		t.push(e)
 	}
 	if r.Err() != nil {
 		return nil
 	}
-	return b.Finish()
+	return t
 }

@@ -16,12 +16,15 @@ import (
 // Event is one entry of a trace. ALU events are run-length compressed:
 // N consecutive simple integer instructions become a single event with
 // N > 1. All other kinds have N == 1.
+//
+// The three 4-byte fields come first so an Event packs into 16 bytes; the
+// encoding writes fields by name, so their order is not part of it.
 type Event struct {
-	Kind  isa.Kind
 	PC    isa.PC
 	Addr  mem.Addr // Load, Store, LatchAcquire, LatchRelease
 	N     uint32   // run length; >= 1
-	Taken bool     // Branch outcome
+	Kind  isa.Kind
+	Taken bool // Branch outcome
 }
 
 func (e Event) String() string {
@@ -69,7 +72,16 @@ type Recorder interface {
 	LatchRelease(pc isa.PC, addr mem.Addr)
 }
 
+// push appends e and accounts its instructions.
+func (t *Trace) push(e Event) {
+	t.events = append(t.events, e)
+	t.instrs += uint64(e.N)
+	t.counts[e.Kind] += uint64(e.N)
+}
+
 // Builder accumulates events into a Trace, merging consecutive ALU runs.
+// Its buffer is scratch space: Finish copies the trace out, so one Builder
+// can record any number of traces without regrowing.
 type Builder struct {
 	t Trace
 }
@@ -84,30 +96,31 @@ func (b *Builder) Reset() {
 	b.t.counts = [isa.NumKinds]uint64{}
 }
 
-// Finish returns the recorded trace. The Builder must not be reused without
-// Reset afterwards (the returned Trace aliases its storage).
+// Finish returns a copy of the recorded trace whose event slice is exactly
+// its length, and resets the Builder for the next trace.
 func (b *Builder) Finish() *Trace {
+	// make then copy between two local names compiles to one allocation
+	// that is copied into, not zeroed first.
+	src := b.t.events
+	events := make([]Event, len(src))
+	copy(events, src)
 	t := b.t
+	t.events = events
+	b.Reset()
 	return &t
 }
 
 // Instrs reports the instructions recorded so far.
 func (b *Builder) Instrs() uint64 { return b.t.instrs }
 
-func (b *Builder) push(e Event) {
-	b.t.events = append(b.t.events, e)
-	b.t.instrs += uint64(e.N)
-	b.t.counts[e.Kind] += uint64(e.N)
-}
-
 // Load implements Recorder.
 func (b *Builder) Load(pc isa.PC, addr mem.Addr) {
-	b.push(Event{Kind: isa.Load, PC: pc, Addr: addr, N: 1})
+	b.t.push(Event{Kind: isa.Load, PC: pc, Addr: addr, N: 1})
 }
 
 // Store implements Recorder.
 func (b *Builder) Store(pc isa.PC, addr mem.Addr) {
-	b.push(Event{Kind: isa.Store, PC: pc, Addr: addr, N: 1})
+	b.t.push(Event{Kind: isa.Store, PC: pc, Addr: addr, N: 1})
 }
 
 // ALU implements Recorder, merging into a preceding ALU run when possible.
@@ -121,27 +134,27 @@ func (b *Builder) ALU(n uint32) {
 		b.t.counts[isa.ALU] += uint64(n)
 		return
 	}
-	b.push(Event{Kind: isa.ALU, N: n})
+	b.t.push(Event{Kind: isa.ALU, N: n})
 }
 
 // Op implements Recorder.
 func (b *Builder) Op(k isa.Kind) {
-	b.push(Event{Kind: k, N: 1})
+	b.t.push(Event{Kind: k, N: 1})
 }
 
 // Branch implements Recorder.
 func (b *Builder) Branch(pc isa.PC, taken bool) {
-	b.push(Event{Kind: isa.Branch, PC: pc, Taken: taken, N: 1})
+	b.t.push(Event{Kind: isa.Branch, PC: pc, Taken: taken, N: 1})
 }
 
 // LatchAcquire implements Recorder.
 func (b *Builder) LatchAcquire(pc isa.PC, addr mem.Addr) {
-	b.push(Event{Kind: isa.LatchAcquire, PC: pc, Addr: addr, N: 1})
+	b.t.push(Event{Kind: isa.LatchAcquire, PC: pc, Addr: addr, N: 1})
 }
 
 // LatchRelease implements Recorder.
 func (b *Builder) LatchRelease(pc isa.PC, addr mem.Addr) {
-	b.push(Event{Kind: isa.LatchRelease, PC: pc, Addr: addr, N: 1})
+	b.t.push(Event{Kind: isa.LatchRelease, PC: pc, Addr: addr, N: 1})
 }
 
 // Null is a Recorder that discards everything.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"subthreads/internal/isa"
 	"subthreads/internal/mem"
@@ -65,6 +66,36 @@ func TestBuilderReset(t *testing.T) {
 	tr := b.Finish()
 	if tr.Instrs() != 1 || tr.Count(isa.Store) != 1 || tr.Count(isa.ALU) != 0 {
 		t.Errorf("post-Reset trace wrong: %+v", tr)
+	}
+}
+
+// Finish copies the trace out at exact size and resets the Builder: the
+// next trace recorded into the same buffer starts empty, and an ALU run it
+// begins does not merge into the finished trace's last event.
+func TestFinishCopiesAndResets(t *testing.T) {
+	b := NewBuilder()
+	b.Load(1, 0x10)
+	b.ALU(5)
+	first := b.Finish()
+	if b.Instrs() != 0 {
+		t.Fatalf("Instrs after Finish = %d", b.Instrs())
+	}
+	b.ALU(2)
+	b.Store(2, 0x20)
+	second := b.Finish()
+
+	if ev := first.Events(); len(ev) != 2 || cap(ev) != 2 || ev[1].N != 5 || first.Instrs() != 6 {
+		t.Errorf("first trace changed or kept slack: %v (cap %d), instrs %d", ev, cap(ev), first.Instrs())
+	}
+	if ev := second.Events(); len(ev) != 2 || cap(ev) != 2 || ev[0].N != 2 || second.Count(isa.Load) != 0 {
+		t.Errorf("second trace wrong: %v (cap %d)", ev, cap(ev))
+	}
+}
+
+// Field order packs an Event into 16 bytes; the codec does not depend on it.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Fatalf("sizeof(Event) = %d, want 16", got)
 	}
 }
 

@@ -17,9 +17,7 @@ import (
 // content-addressed cache: everything the serving and reporting paths read
 // from a Built — the unit/trace program, the derived statistics, the PC
 // registry, the functional digest, and the per-transaction outputs — in a
-// compact custom frame (no gob/reflection). The db.Env is deliberately not
-// captured: nothing reads it after Build returns, and a decoded Built
-// carries Env == nil.
+// compact custom frame (no gob/reflection).
 //
 // The frame:
 //
@@ -100,8 +98,7 @@ func EncodeBuilt(b *Built) []byte {
 }
 
 // DecodeBuilt parses the binary cache format back into a Built. The result
-// is read-only shareable exactly like a fresh Build (and its Env is nil —
-// nothing reads the environment after a build). Truncated, inconsistent or
+// is read-only shareable exactly like a fresh Build. Truncated, inconsistent or
 // non-canonical input returns an error, never a panic. The caps bound what
 // real programs need: a few thousand units and a few hundred
 // instrumentation sites.

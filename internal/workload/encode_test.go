@@ -88,9 +88,6 @@ func TestBuiltRoundTripByteIdentical(t *testing.T) {
 			t.Errorf("%s units = %d, want %d",
 				c.name, len(c.dec.Program.Units), len(c.fresh.Program.Units))
 		}
-		if c.dec.Env != nil {
-			t.Errorf("%s decoded Built carries an Env; the codec must drop it", c.name)
-		}
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -198,17 +195,47 @@ func TestDecodeBuiltHostileCountAllocatesLittle(t *testing.T) {
 	}
 }
 
-// The Built encoding of one small fixed spec is pinned: a codec change
-// that moves these bytes would orphan every Built already on disk without
-// a builtVersion bump.
+// The Built encoding of every benchmark in both software modes is pinned,
+// with a warm-up transaction so the discarded warm-up recording is covered:
+// a codec change that moves these bytes would orphan every Built already on
+// disk without a builtVersion bump, and a recording change that moves them
+// would change what every experiment simulates.
 func TestEncodeBuiltPinned(t *testing.T) {
-	const want = "82052bbf36daf5d7571d5759c5763ed5dd219909a4cc64d694f98b2b08cdc4b1"
-	spec := DefaultSpec(tpcc.NewOrder)
-	spec.Txns = 1
-	spec.Warmup = 1
-	sum := sha256.Sum256(EncodeBuilt(Build(spec, false)))
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Fatalf("sha256(EncodeBuilt(NEW ORDER, txns 1, warmup 1)) = %s, want %s", got, want)
+	pins := []struct {
+		bench      tpcc.Benchmark
+		sequential bool
+		want       string
+	}{
+		{tpcc.NewOrder, false, "82052bbf36daf5d7571d5759c5763ed5dd219909a4cc64d694f98b2b08cdc4b1"},
+		{tpcc.NewOrder, true, "f028a395973eeb2ea8f2fa29d1b10ba9afa65aa80e74539f67956c866dbc2c8e"},
+		{tpcc.NewOrder150, false, "7e41584f58e9b27b88595f4189b767a79db097578f7f9e2de71cfe40435bf62f"},
+		{tpcc.NewOrder150, true, "4aeae48479da64bf01c726bb9e13825c4f865f1565b6e75a6d066ee7b14e9b5e"},
+		{tpcc.Delivery, false, "243e80e9e0187695f8eebd3b4a57af87a18ac836f1439e9bcaf3376223a82eb7"},
+		{tpcc.Delivery, true, "dfdea96adfe92f33a9161f95d3311e2aeb45e5ee6545115aab289d13abeabfef"},
+		{tpcc.DeliveryOuter, false, "84b1fc13b5f6b2d2519262d5cbf69f43f14a1af0212e6af36892274d053b213d"},
+		{tpcc.DeliveryOuter, true, "dfdea96adfe92f33a9161f95d3311e2aeb45e5ee6545115aab289d13abeabfef"},
+		{tpcc.StockLevel, false, "951fe1584e150097623b11d21e00861bd8f1ecf631bbda9d5900d4e291af9d45"},
+		{tpcc.StockLevel, true, "6dde364167f4b511120966b4d11b52c7558b93047d373d04473ebe852c3fc55a"},
+		{tpcc.Payment, false, "d020379b3e6bff17745634b6fdd4e4dae135c5dff7685bfb175e1df7f80f83cf"},
+		{tpcc.Payment, true, "1e14218dc677f49d539c475a08fef0db5cb7c9592bc3fd3b46df59283c2cc104"},
+		{tpcc.OrderStatus, false, "59395c96d7404f1c494d4d1c117351faf20e7aaae32deaa2704eb79231a3224d"},
+		{tpcc.OrderStatus, true, "7cdbb91218d4a60d79e7fa9035a7aeb353c196a3a07de9a73fe7c529f6edcbd1"},
+	}
+	for _, p := range pins {
+		mode := "TLS"
+		if p.sequential {
+			mode = "SEQUENTIAL"
+		}
+		t.Run(p.bench.String()+"/"+mode, func(t *testing.T) {
+			spec := DefaultSpec(p.bench)
+			spec.Txns = 1
+			spec.Warmup = 1
+			sum := sha256.Sum256(EncodeBuilt(Build(spec, p.sequential)))
+			if got := hex.EncodeToString(sum[:]); got != p.want {
+				t.Fatalf("sha256(EncodeBuilt(%v %s, txns 1, warmup 1)) = %s, want %s",
+					p.bench, mode, got, p.want)
+			}
+		})
 	}
 }
 

@@ -58,7 +58,6 @@ type Built struct {
 	Program *sim.Program
 	Stats   Stats
 	PCs     *isa.PCRegistry
-	Env     *db.Env
 
 	// Digest is the FNV-1a hash of the final database state after the
 	// full (warm-up + measured) transaction stream, and Outputs the
@@ -87,6 +86,7 @@ func Build(spec Spec, sequential bool) *Built {
 	}
 	env := db.NewEnv(cfg)
 	database := tpcc.Load(env, spec.Scale, spec.Seed)
+	defer database.Release()
 	inputs := tpcc.GenInputs(spec.Bench, spec.Scale, spec.Seed+1, spec.Warmup+spec.Txns)
 
 	mode := tpcc.ModeTLS
@@ -95,15 +95,14 @@ func Build(spec Spec, sequential bool) *Built {
 	}
 
 	// Warm-up transactions advance database state; their traces are
-	// discarded (the paper starts timing after warm-up).
+	// not kept (the paper starts timing after warm-up).
 	for _, in := range inputs[:spec.Warmup] {
-		database.RunTxn(in, mode)
+		database.WarmTxn(in, mode)
 	}
 
 	b := &Built{
 		Program: &sim.Program{},
 		PCs:     env.PCs,
-		Env:     env,
 	}
 	st := &b.Stats
 	st.Txns = spec.Txns
